@@ -14,7 +14,6 @@
 //! `2^-precision_bits`.
 
 use crate::AnalysisError;
-use serde::{Deserialize, Serialize};
 
 /// A high-dynamic-range histogram over `u64` values.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// let p50 = h.value_at_percentile(50.0);
 /// assert!((p50 as f64 - 500.0).abs() / 500.0 < 0.125 + 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HdrHistogram {
     precision_bits: u32,
     /// Counts indexed by bucket; the bucket layout is derived from the

@@ -27,11 +27,10 @@ use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::config::CompilerMode;
 use chopin_runtime::machine::MachineConfig;
 use chopin_workloads::WorkloadProfile;
-use serde::{Deserialize, Serialize};
 
 /// The measured counterparts of the suite's G- and P-family nominal
 /// statistics for one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredStats {
     /// Benchmark name.
     pub benchmark: String,
@@ -71,7 +70,7 @@ pub struct MeasuredStats {
 }
 
 /// Configuration of the characterisation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CharacterizeConfig {
     /// Also run the (more expensive) empirical minimum-heap search.
     pub with_min_heap: bool,

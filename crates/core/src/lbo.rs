@@ -18,12 +18,11 @@ use chopin_analysis::descriptive::geometric_mean;
 use chopin_analysis::AnalysisError;
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::result::RunResult;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// One run's contribution to an LBO analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSample {
     /// Which collector produced the sample.
     pub collector: CollectorKind,
@@ -57,7 +56,7 @@ impl RunSample {
 
 /// Which clock an LBO curve is computed against (recommendation O2 asks
 /// for both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Clock {
     /// End-to-end wall-clock time (Figure 1(a)).
     Wall,

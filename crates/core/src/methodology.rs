@@ -8,11 +8,10 @@
 //! them (`nominal --describe` and friends) so that the tooling carries its
 //! own methodology, exactly as the suite does.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One methodological recommendation from §4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recommendation {
     /// The paper's identifier (H1, H2, P1, L1, L2, O1, O2).
     pub id: &'static str,
@@ -23,7 +22,7 @@ pub struct Recommendation {
 }
 
 /// The methodology area a recommendation addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Area {
     /// The time–space tradeoff (§4.2).
     HeapSizing,

@@ -8,11 +8,10 @@
 //! here — GMV exists only for h2, which likely accounts for the
 //! difference).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five metric groups of §5.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricGroup {
     /// A — allocation behaviour, from bytecode-instrumented runs.
     Allocation,
@@ -40,7 +39,7 @@ impl fmt::Display for MetricGroup {
 }
 
 /// One nominal-statistic definition: code, group and Table 1 description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricDef {
     /// Three-letter acronym (e.g. "ARA").
     pub code: &'static str,

@@ -10,11 +10,10 @@
 use super::dataset::{dataset, NominalRow};
 use super::metric::{metric_index, MetricDef, METRICS};
 use chopin_analysis::descriptive::Summary;
-use serde::{Deserialize, Serialize};
 
 /// One scored cell of an appendix table: a benchmark's value, rank, score
 /// and the suite-wide min/median/max for the metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredMetric {
     /// The metric being scored.
     pub code: &'static str,

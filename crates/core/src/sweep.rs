@@ -12,14 +12,13 @@ use crate::lbo::RunSample;
 use chopin_runtime::collector::CollectorKind;
 use chopin_runtime::result::RunError;
 use chopin_workloads::{SizeClass, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 
 /// The heap factors Figure 1 and Figure 5 sweep: denser at small heaps,
 /// 1–6 × the minimum.
 pub const PAPER_HEAP_FACTORS: [f64; 11] = [1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0];
 
 /// Configuration of a sweep over collectors × heap factors × invocations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Collectors to sweep (default: all five).
     pub collectors: Vec<CollectorKind>,
@@ -78,7 +77,7 @@ impl SweepConfig {
 /// A cell that failed to run, with the reason — the paper's missing data
 /// points ("we only plot data points where the respective collector can
 /// run all 22 benchmarks").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepFailure {
     /// The collector that failed.
     pub collector: CollectorKind,

@@ -29,8 +29,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hard::splitmix64;
 use crate::plan::FaultPlanError;
 
@@ -78,7 +76,7 @@ pub enum FrameFate {
 /// A stride of `0` disables that fault family; `partition_period_ms ==
 /// 0` disables partitions. Presets compose the families; the `storm`
 /// preset turns everything on at once.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetFaultPlan {
     /// Seed for every victim roll.
     pub seed: u64,

@@ -6,8 +6,6 @@
 //! `ObsConfig` lives in `chopin-obs` rather than next to the `--trace-out`
 //! flag that populates it.
 
-use serde::{Deserialize, Serialize};
-
 /// Upper bound on retry attempts per cell (R704).
 pub const MAX_RETRIES_BOUND: u32 = 100;
 
@@ -19,7 +17,7 @@ pub const MAX_BACKOFF_MS: u64 = 300_000;
 pub const MAX_DEADLINE_MS: u64 = 86_400_000;
 
 /// Retry/backoff/deadline configuration for supervised sweep execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
     /// Wall-clock budget per cell attempt, in milliseconds; `None`
     /// disables the watchdog (cells then run inline on the supervisor

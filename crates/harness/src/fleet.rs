@@ -35,6 +35,7 @@ use crate::cli::Args;
 use crate::journal::{
     CellKey, CellProvenance, CellRecord, Journal, JournalEntry, QuarantineRecord,
 };
+use crate::lock;
 use crate::sandbox::{
     parse_request, parse_response, render_request, render_response, run_cell_inline, status_signal,
     write_crash_reports, CellRequest, CrashReport,
@@ -60,7 +61,6 @@ use chopin_obs::MetricsRegistry;
 use chopin_sandbox::clock::WallSpan;
 use chopin_sandbox::limits::{die_by_signal, SIGKILL};
 use chopin_workloads::WorkloadProfile;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -68,7 +68,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// How often a worker's heartbeat thread beats, in milliseconds.
@@ -123,6 +123,11 @@ const STANDBY_CONNECT_ATTEMPTS: u32 = 40;
 
 /// Backoff between standby registration attempts.
 const STANDBY_CONNECT_BACKOFF_MS: u64 = 250;
+
+/// After a clean `Drain`, how long the coordinator waits for its local
+/// workers to exit. It covers a worker in reconnect backoff (capped at
+/// [`RECONNECT_MAX_MS`]), which is drained when it reconnects.
+const WORKER_EXIT_GRACE_MS: u64 = 5_000;
 
 /// After a clean `Drain`, how long the standby waits for the primary's
 /// assembly writes to land in the base journal before giving up.
@@ -1842,6 +1847,10 @@ fn run_transport(
         }
     }
 
+    if fail.is_none() {
+        reap_local_workers(&mut st, &rx);
+    }
+
     // Wake the acceptor so its thread exits, then drop every peer.
     stop.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(&addr);
@@ -1874,13 +1883,42 @@ fn run_transport(
     }
 }
 
+/// Wait, up to [`WORKER_EXIT_GRACE_MS`], for every live local worker to
+/// exit after the `Drain`, so no process of the run outlives it. Peers
+/// stay connected meanwhile: closing a socket with unread frames resets
+/// it, and a reset can destroy the `Drain` before the worker reads it.
+/// A worker that reconnects during the wait is drained on the spot.
+fn reap_local_workers(st: &mut FleetState<'_>, rx: &mpsc::Receiver<Event>) {
+    let span = WallSpan::begin();
+    while st.slots.iter().any(|s| s.alive) {
+        let left = WORKER_EXIT_GRACE_MS.saturating_sub(span.elapsed_ms() as u64);
+        match rx.recv_timeout(Duration::from_millis(left)) {
+            Ok(Event::ChildExit { slot, worker, .. }) => {
+                if st.slots.get(slot).map(|s| s.worker) == Some(worker) {
+                    st.slots[slot].alive = false;
+                }
+            }
+            Ok(Event::Joined { mut stream, .. }) => {
+                let line = format!("{}\n", protocol::render(&FleetFrame::Drain));
+                let _ = stream.write_all(line.as_bytes());
+            }
+            Ok(_) => {}
+            Err(_) => {
+                let alive = st.slots.iter().filter(|s| s.alive).count();
+                eprintln!("fleet: {alive} worker(s) still running after the drain");
+                break;
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The worker.
 // ---------------------------------------------------------------------
 
 fn send_frame(writer: &Mutex<TcpStream>, frame: &FleetFrame) -> bool {
     let line = format!("{}\n", protocol::render(frame));
-    writer.lock().write_all(line.as_bytes()).is_ok()
+    lock(writer).write_all(line.as_bytes()).is_ok()
 }
 
 fn spawn_heartbeat(writer: Arc<Mutex<TcpStream>>, me: u64) {
@@ -2104,7 +2142,16 @@ fn serve_coordinator(addr: &str, s: &mut WorkerSession, attempts: &mut u32) -> S
                     FleetFrame::Reject { reason } => return ServeEnd::Rejected(reason),
                     FleetFrame::Standby { addr } => s.successor = Some(addr),
                     FleetFrame::Wait { ms } => {
-                        std::thread::sleep(Duration::from_millis(ms.clamp(1, MAX_WORKER_WAIT_MS)));
+                        // Wait on the socket rather than the clock, so a
+                        // frame landing meanwhile (above all the final
+                        // Drain) ends the wait early.
+                        if reader.buf.is_empty() {
+                            let wait = Duration::from_millis(ms.clamp(1, MAX_WORKER_WAIT_MS));
+                            let _ = reader.stream.set_read_timeout(Some(wait));
+                            let _ = reader.stream.peek(&mut [0u8; 1]);
+                            let resend = Duration::from_millis(WORKER_RESEND_MS);
+                            let _ = reader.stream.set_read_timeout(Some(resend));
+                        }
                         if !send_frame(&writer, &FleetFrame::Next { worker: me }) {
                             return ServeEnd::Lost;
                         }
@@ -2305,7 +2352,7 @@ mod tests {
         // (epoch 1). The fence against stale cross-epoch completions
         // was then vacuous and resent epoch-1 Dones corrupted the
         // epoch-2 merge on colliding lease ids.
-        let fp = 0x00c0_ffee_0dd_f00d_u64;
+        let fp = 0x000c_0ffe_e0dd_f00d_u64;
         for standby_pid in [1u64, 5, 1021, 40_961, 65_537] {
             let primary_pid = standby_pid ^ 3;
             assert_ne!(

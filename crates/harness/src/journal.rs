@@ -10,9 +10,9 @@
 //! match, because replaying cells from a different configuration would
 //! silently mix incompatible results.
 //!
-//! Serialisation is hand-rolled (the vendored `serde` is a marker stub)
-//! and parsing reuses [`chopin_obs::json`]. Floats are written with
-//! `{:?}`, whose shortest-round-trip output restores the exact bits on
+//! Serialisation is hand-rolled so every byte of the file is under this
+//! module's control, and parsing reuses [`chopin_obs::json`]. Floats are
+//! written with `{:?}`, whose shortest-round-trip output restores the exact bits on
 //! parse — the property the byte-identical resume guarantee rests on.
 //!
 //! Besides completed cells, the journal also records quarantine verdicts

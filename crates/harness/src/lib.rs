@@ -66,6 +66,8 @@ pub mod sandbox;
 pub mod supervisor;
 pub mod validate;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use experiments::{
     heap_trace, nominal_table, pca_figure, sweep_benchmark, table1, table2, ExperimentError,
     LatencyExperiment, LboExperiment,
@@ -77,3 +79,10 @@ pub use sandbox::{worker_entry, CrashReport, IsolationMode, ProcessCellRunner};
 pub use supervisor::{
     CellFailure, QuarantineEntry, QuarantineReason, SuiteReport, SuiteSupervisor, SuperviseError,
 };
+
+/// Lock `mutex` even if a previous holder panicked. A panicking cell is
+/// already caught and quarantined by the supervisor; poisoning the shared
+/// state would turn that one failure into a failed sweep.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

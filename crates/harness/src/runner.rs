@@ -14,13 +14,13 @@
 //! corrupt a geomean) collapse the outcome with
 //! [`SuiteSweepOutcome::into_result`].
 
+use crate::lock;
 use crate::obs::SpanSink;
 use chopin_core::sweep::{run_sweep, SweepConfig, SweepResult};
 use chopin_core::BenchmarkError;
 use chopin_workloads::WorkloadProfile;
-use crossbeam::thread;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// A benchmark whose sweep failed outright (configuration error — not an
 /// OOM/thrash cell, which [`run_sweep`] records inside its result).
@@ -108,23 +108,25 @@ pub fn run_suite_sweeps_spanned(
     let slots: Mutex<Vec<Option<Result<SweepResult, BenchmarkError>>>> =
         Mutex::new((0..profiles.len()).map(|_| None).collect());
 
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= profiles.len() {
                     break;
                 }
                 let name = format!("sweep:{}", profiles[i].name);
                 let outcome = spans.time(&name, || run_sweep(&profiles[i], config));
-                slots.lock()[i] = Some(outcome);
+                lock(&slots)[i] = Some(outcome);
             });
         }
-    })
-    .expect("sweep workers do not panic");
+    });
 
     let mut outcome = SuiteSweepOutcome::default();
-    for (profile, slot) in profiles.iter().zip(slots.into_inner()) {
+    for (profile, slot) in profiles
+        .iter()
+        .zip(slots.into_inner().unwrap_or_else(PoisonError::into_inner))
+    {
         match slot.expect("every index visited") {
             Ok(result) => outcome.results.push(result),
             Err(error) => outcome.errors.push(SweepError {

@@ -25,6 +25,7 @@
 //! process backend and is rejected up front under threads (rule R903).
 
 use crate::journal::{CellKey, CellRecord, Journal, JournalEntry, JournalError, QuarantineRecord};
+use crate::lock;
 use crate::sandbox::{write_crash_reports, CrashReport, ProcessCellRunner};
 use chopin_core::benchmark::{BenchmarkError, BenchmarkRunner};
 use chopin_core::lbo::RunSample;
@@ -37,11 +38,10 @@ use chopin_runtime::result::RunError;
 use chopin_sandbox::limits::signal_name;
 use chopin_sandbox::{IsolationMode, SandboxPolicy};
 use chopin_workloads::WorkloadProfile;
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// One unit of supervised work: a benchmark × collector × heap-factor
@@ -817,9 +817,9 @@ impl SuiteSupervisor {
             .unwrap_or(4)
             .min(cells.len().max(1));
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= cells.len() {
                         break;
@@ -827,19 +827,18 @@ impl SuiteSupervisor {
                     let (pi, cell) = &cells[i];
                     let profile = &profiles[*pi];
 
-                    if let Some(record) = journal
-                        .lock()
+                    if let Some(record) = lock(&journal)
                         .as_ref()
                         .and_then(|j| j.lookup(&cell.key()).cloned())
                     {
-                        let mut m = metrics.lock();
+                        let mut m = lock(&metrics);
                         m.inc("supervisor.cells.resumed", 1);
                         m.inc("supervisor.cells.completed", 1);
                         if record.infeasible.is_some() {
                             m.inc("supervisor.cells.infeasible", 1);
                         }
                         drop(m);
-                        slots.lock()[i] = Some(Slot::Completed(CellOutcome {
+                        lock(&slots)[i] = Some(Slot::Completed(CellOutcome {
                             samples: record.samples,
                             infeasible: record.infeasible,
                         }));
@@ -848,13 +847,13 @@ impl SuiteSupervisor {
 
                     let slot = match self.supervise_cell(&runner, profile, cell, config, &metrics) {
                         Ok(outcome) => {
-                            let mut m = metrics.lock();
+                            let mut m = lock(&metrics);
                             m.inc("supervisor.cells.completed", 1);
                             if outcome.infeasible.is_some() {
                                 m.inc("supervisor.cells.infeasible", 1);
                             }
                             drop(m);
-                            if let Some(j) = journal.lock().as_mut() {
+                            if let Some(j) = lock(&journal).as_mut() {
                                 // A journal write failure must not lose the
                                 // computed outcome; the suite continues and
                                 // only resume fidelity degrades.
@@ -870,8 +869,8 @@ impl SuiteSupervisor {
                             Slot::Completed(outcome)
                         }
                         Err(entry) => {
-                            metrics.lock().inc("supervisor.cells.quarantined", 1);
-                            if let Some(j) = journal.lock().as_mut() {
+                            lock(&metrics).inc("supervisor.cells.quarantined", 1);
+                            if let Some(j) = lock(&journal).as_mut() {
                                 let _ = j.record_quarantine(QuarantineRecord {
                                     key: cell.key(),
                                     attempts: entry.attempts,
@@ -881,11 +880,10 @@ impl SuiteSupervisor {
                             Slot::Quarantined(entry)
                         }
                     };
-                    slots.lock()[i] = Some(slot);
+                    lock(&slots)[i] = Some(slot);
                 });
             }
-        })
-        .expect("supervisor workers do not panic");
+        });
 
         let mut results: Vec<SweepResult> = profiles
             .iter()
@@ -896,7 +894,12 @@ impl SuiteSupervisor {
             })
             .collect();
         let mut quarantined = Vec::new();
-        for (slot, (pi, cell)) in slots.into_inner().into_iter().zip(cells) {
+        for (slot, (pi, cell)) in slots
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_iter()
+            .zip(cells)
+        {
             match slot.expect("every cell visited") {
                 Slot::Completed(outcome) => {
                     results[pi].samples.extend(outcome.samples);
@@ -912,7 +915,7 @@ impl SuiteSupervisor {
             }
         }
 
-        let mut metrics = metrics.into_inner();
+        let mut metrics = metrics.into_inner().unwrap_or_else(PoisonError::into_inner);
         let mut crash_reports = Vec::new();
         if let Some(process) = process_runner {
             process.merge_metrics(&mut metrics);
@@ -952,7 +955,7 @@ impl SuiteSupervisor {
         let mut last = QuarantineReason::Errored("cell never attempted".to_string());
         for attempt in 0..attempts {
             if attempt > 0 {
-                metrics.lock().inc("supervisor.retries", 1);
+                lock(metrics).inc("supervisor.retries", 1);
                 self.clock.sleep(Duration::from_millis(
                     self.policy.backoff_jitter_ms(attempt - 1, seed),
                 ));
@@ -1023,7 +1026,7 @@ mod tests {
 
     impl SupervisorClock for VirtualClock {
         fn sleep(&self, duration: Duration) {
-            self.sleeps.lock().push(duration.as_millis() as u64);
+            lock(&self.sleeps).push(duration.as_millis() as u64);
         }
 
         fn recv(
@@ -1135,8 +1138,8 @@ mod tests {
         };
         let seed = cell_seed(&cell);
         let expected: Vec<u64> = (0..2).map(|a| policy.backoff_jitter_ms(a, seed)).collect();
-        assert_eq!(*clock.sleeps.lock(), expected);
-        for (attempt, &slept) in clock.sleeps.lock().iter().enumerate() {
+        assert_eq!(*lock(&clock.sleeps), expected);
+        for (attempt, &slept) in lock(&clock.sleeps).iter().enumerate() {
             assert!(
                 slept <= policy.backoff_ms(attempt as u32),
                 "jitter stays under the deterministic ceiling"

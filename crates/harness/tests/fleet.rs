@@ -4,13 +4,14 @@
 //! mid-sweep, and after a `--resume` restart the merged CSV on stdout is
 //! byte-identical to a sequential process-isolated run of the same
 //! matrix. This is the acceptance scenario: sharding, worker death,
-//! coordinator death, journal merge — and not one bit of drift.
+//! coordinator death, journal merge — and not one bit of drift. A
+//! drained run also leaves none of its worker processes behind.
 
 #![cfg(unix)]
 
 use chopin_faults::{HardFaultKind, HardFaultPlan};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const WORKERS: u64 = 4;
 
@@ -134,5 +135,55 @@ fn stormed_fleet_with_coordinator_restart_matches_sequential_run() {
         "merged fleet CSV must be byte-identical to the sequential run"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The live (non-zombie) processes in process group `pgid`, read from
+/// `/proc/<pid>/stat` (`pid (comm) state ppid pgrp ...`).
+#[cfg(target_os = "linux")]
+fn group_members(pgid: u32) -> Vec<u32> {
+    let entries = std::fs::read_dir("/proc").expect("procfs");
+    entries
+        .filter_map(|entry| {
+            let pid: u32 = entry.ok()?.file_name().to_str()?.parse().ok()?;
+            let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+            // `comm` may hold spaces and parentheses; fields resume after
+            // the last `)`.
+            let mut fields = stat.rsplit_once(')')?.1.split_whitespace();
+            let state = fields.next()?;
+            let pgrp: u32 = fields.nth(1)?.parse().ok()?;
+            (pgrp == pgid && state != "Z").then_some(pid)
+        })
+        .collect()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn drained_fleet_run_leaves_no_worker_behind() {
+    use std::os::unix::process::CommandExt;
+    // Not `scratch_dir()`: the storm test owns and wipes that directory.
+    let dir = std::env::temp_dir().join(format!("chopin-fleet-reap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    // Workers inherit stderr: a pipe would keep the wait below blocked
+    // until the last worker exits, so stderr goes to a file instead.
+    let log = dir.join("stderr.txt");
+    // Its own process group: every worker the coordinator spawns joins
+    // it, so an empty group after exit means nothing outlived the run.
+    let mut coordinator = runbms()
+        .args(["-b", "fop", "--quick", "--fleet", "2"])
+        .process_group(0)
+        .stdout(Stdio::null())
+        .stderr(std::fs::File::create(&log).expect("stderr log"))
+        .spawn()
+        .expect("runbms spawns");
+    let pgid = coordinator.id();
+    let status = coordinator.wait().expect("runbms exits");
+    let left = group_members(pgid);
+    let stderr = std::fs::read_to_string(&log).unwrap_or_default();
+    assert!(status.success(), "fleet run fails:\n{stderr}");
+    assert!(
+        left.is_empty(),
+        "worker process(es) {left:?} outlived the fleet run:\n{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

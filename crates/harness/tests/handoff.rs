@@ -1,9 +1,10 @@
 //! End-to-end partition-tolerance guarantees against the real `runbms`
 //! binary: a wrong-token attacher is cleanly rejected while the
-//! authenticated run completes, and a four-worker sweep under a seeded
-//! drop+delay+dup+partition storm survives its coordinator being
-//! SIGKILLed mid-sweep — the standby takes over, the workers fail over,
-//! and the merged CSV is byte-identical to a sequential run.
+//! authenticated run waits for its right-token standby, then completes;
+//! and a four-worker sweep under a seeded drop+delay+dup+partition storm
+//! survives its coordinator being SIGKILLed mid-sweep — the standby
+//! takes over, the workers fail over, and the merged CSV is
+//! byte-identical to a sequential run.
 
 #![cfg(unix)]
 
@@ -40,8 +41,15 @@ fn wrong_token_attacher_is_rejected_and_the_sweep_completes() {
         eprintln!("skipping: process isolation is unsupported on this platform");
         return;
     }
+    let dir = scratch_dir("auth");
+    let journal = dir.join("auth.journal");
+    let journal_flag = journal.to_str().expect("utf-8 temp path").to_string();
     let addr = free_addr();
 
+    // `--fleet-await-standby` holds every lease until a standby adopts,
+    // so the sweep cannot finish before the test attaches: the
+    // wrong-token attacher is refused first, then a right-token standby
+    // releases the run.
     let coordinator = runbms()
         .args([
             "-b",
@@ -53,6 +61,9 @@ fn wrong_token_attacher_is_rejected_and_the_sweep_completes() {
             &addr,
             "--fleet-token",
             "secret",
+            "--fleet-await-standby",
+            "--journal",
+            &journal_flag,
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -82,6 +93,25 @@ fn wrong_token_attacher_is_rejected_and_the_sweep_completes() {
         "the attacher must report the rejection, not retry forever:\n{attach_err}"
     );
 
+    let standby = run(runbms().args([
+        "-b",
+        "fop",
+        "--quick",
+        "--fleet",
+        "1",
+        "--fleet-standby",
+        &addr,
+        "--fleet-token",
+        "secret",
+        "--journal",
+        &journal_flag,
+    ]));
+    assert!(
+        standby.status.success(),
+        "the right-token standby must be admitted and see the run drain:\n{}",
+        String::from_utf8_lossy(&standby.stderr)
+    );
+
     let coordinator = coordinator.wait_with_output().expect("coordinator exits");
     let coord_err = String::from_utf8_lossy(&coordinator.stderr);
     assert!(
@@ -92,6 +122,8 @@ fn wrong_token_attacher_is_rejected_and_the_sweep_completes() {
         coord_err.contains("auth token mismatch"),
         "the coordinator must log the refused handshake:\n{coord_err}"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

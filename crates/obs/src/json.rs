@@ -1,7 +1,7 @@
 //! A minimal JSON reader and the Chrome-trace validator.
 //!
-//! The workspace's `serde` is an offline marker stub, so the exporters
-//! emit JSON by hand — and anything emitted by hand needs an independent
+//! The exporters emit JSON by hand so their output stays byte-stable —
+//! and anything emitted by hand needs an independent
 //! reader to prove it well-formed. This module implements the small
 //! recursive-descent parser that the trace-validation tests, the `artifact
 //! trace --check` gate and CI all share. It parses the full JSON grammar
@@ -80,7 +80,7 @@ impl std::error::Error for JsonError {}
 
 /// Escape a string as a JSON string literal, quotes included — the
 /// one escaping routine every hand-rolled exporter in the workspace
-/// shares (the vendored `serde` is a marker stub without a serializer).
+/// shares, so every document's bytes are under the workspace's control.
 ///
 /// # Examples
 ///

@@ -11,8 +11,8 @@
 //! The first trajectory point, `BENCH_6.json`, predates this schema; its
 //! v0 shape (one benchmark, per-observer min/mean only) is still parsed
 //! by [`BenchReport::parse`] as a fallback so the ledger's history is
-//! never stranded. Serialisation is hand-rolled (the vendored `serde` is
-//! a marker stub) and floats marshal via `{:?}` per the workspace
+//! never stranded. Serialisation is hand-rolled for byte stability, and
+//! floats marshal via `{:?}` per the workspace
 //! float-marshalling contract (srclint R1004 — this file is in the
 //! checked writer set).
 

@@ -8,10 +8,9 @@
 
 use super::costs::CollectorModel;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The kind of collection a cycle performs, recorded in pause telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectionKind {
     /// A nursery collection tracing only recent survivors (generational
     /// collectors).
@@ -317,6 +316,70 @@ mod tests {
             CollectionRequest::Normal,
         );
         assert!((o.live_after - (100e6 + 0.05 * 50e6)).abs() < 1.0);
+    }
+
+    /// DESIGN D1's ablation: remove one mechanism of each collector model
+    /// at a time and check which way the per-cycle CPU cost moves. A
+    /// mechanism that enters a collector's cycle must cost it something;
+    /// one that does not must cost it nothing (Serial has no parallel-work
+    /// overhead, and the evacuation share only enters whole-heap cycles,
+    /// not the generational collectors' young ones).
+    #[test]
+    fn ablating_a_cost_mechanism_lowers_the_cycle_cost_where_it_is_modelled() {
+        use std::cmp::Ordering::{Equal, Less};
+        let input = CycleInput {
+            live_bytes: 128e6,
+            allocated_since_gc: 64e6,
+            survival_fraction: 0.06,
+            ..input()
+        };
+        // Per collector: no work multiplier, no per-object cost (objects
+        // 64x larger), half the evacuation share.
+        let expected = [
+            (CollectorKind::Serial, [Equal, Less, Equal]),
+            (CollectorKind::Parallel, [Less, Less, Equal]),
+            (CollectorKind::G1, [Less, Less, Equal]),
+            (CollectorKind::Shenandoah, [Less, Less, Less]),
+            (CollectorKind::Zgc, [Less, Less, Less]),
+        ];
+        assert_eq!(expected.map(|(kind, _)| kind), CollectorKind::ALL);
+        let cost = |model: &CollectorModel, input: &CycleInput| {
+            plan_cycle(model, input, CollectionRequest::Normal).total_work_cpu_ns()
+        };
+        for (kind, directions) in expected {
+            let base = kind.model();
+            let baseline = cost(&base, &input);
+            let no_multiplier = CollectorModel {
+                work_multiplier: 1.0,
+                ..base.clone()
+            };
+            let half_evac = CollectorModel {
+                evac_share: base.evac_share / 2.0,
+                ..base.clone()
+            };
+            let big_objects = CycleInput {
+                mean_object_size: 4096.0,
+                ..input
+            };
+            let ablated = [
+                cost(&no_multiplier, &input),
+                cost(&base, &big_objects),
+                cost(&half_evac, &input),
+            ];
+            for ((name, ns), want) in ["no_work_multiplier", "no_object_cost", "half_evac"]
+                .iter()
+                .zip(ablated)
+                .zip(directions)
+            {
+                assert_eq!(
+                    ns.partial_cmp(&baseline),
+                    Some(want),
+                    "{kind} {name}: {:.3} ms ablated vs {:.3} ms baseline",
+                    ns / 1e6,
+                    baseline / 1e6
+                );
+            }
+        }
     }
 
     #[test]

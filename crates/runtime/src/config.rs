@@ -7,13 +7,12 @@
 
 use crate::collector::{CollectorKind, CollectorModel};
 use crate::machine::MachineConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Compiler configuration, the analog of OpenJDK's tiered / `-Xcomp` /
 /// `-Xint` modes (§4.3 and the PCC/PCS/PIN nominal statistics measure a
 /// workload's sensitivity to this choice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompilerMode {
     /// The default multi-tier configuration (the baseline of the PCC and
     /// PIN statistics).
@@ -69,7 +68,7 @@ impl std::error::Error for ConfigError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     heap_bytes: u64,
     collector: CollectorKind,

@@ -7,8 +7,6 @@
 //! machine has idle hardware threads the collector can soak up, so the
 //! hardware-thread count is a first-class parameter.
 
-use serde::{Deserialize, Serialize};
-
 /// Description of the simulated hardware.
 ///
 /// # Examples
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let m = MachineConfig::default();
 /// assert_eq!(m.hardware_threads(), 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     hardware_threads: u32,
     /// Relative speed of one hardware thread; 1.0 is the reference 4.5 GHz

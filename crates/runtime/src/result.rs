@@ -4,11 +4,10 @@ use crate::config::RunConfig;
 use crate::progress::ProgressTrace;
 use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a run failed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// The workload's live data cannot fit in the configured heap, or
     /// consecutive collections failed to reclaim usable space.
@@ -55,7 +54,7 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// The complete, deterministic result of one simulated iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     workload: String,
     config: RunConfig,

@@ -4,7 +4,6 @@
 //! instants and durations from being confused with each other or with
 //! ordinary integers, and make unit conversions explicit at call sites.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -21,9 +20,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert_eq!(t.as_nanos(), 3_000_000);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_millis(3));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
@@ -37,9 +34,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_millis_f64(), 1.5);
 /// assert_eq!(d * 2, SimDuration::from_millis(3));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

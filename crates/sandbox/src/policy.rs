@@ -217,20 +217,28 @@ mod tests {
 
     #[test]
     fn zero_fields_are_rejected() {
-        let mut p = SandboxPolicy::default();
-        p.heartbeat_interval_ms = 0;
+        let p = SandboxPolicy {
+            heartbeat_interval_ms: 0,
+            ..SandboxPolicy::default()
+        };
         assert_eq!(p.validate().unwrap_err().field, "heartbeat_interval_ms");
 
-        let mut p = SandboxPolicy::default();
-        p.heartbeat_grace = 0;
+        let p = SandboxPolicy {
+            heartbeat_grace: 0,
+            ..SandboxPolicy::default()
+        };
         assert_eq!(p.validate().unwrap_err().field, "heartbeat_grace");
 
-        let mut p = SandboxPolicy::default();
-        p.rlimit_as_bytes = Some(0);
+        let p = SandboxPolicy {
+            rlimit_as_bytes: Some(0),
+            ..SandboxPolicy::default()
+        };
         assert_eq!(p.validate().unwrap_err().field, "rlimit_as_bytes");
 
-        let mut p = SandboxPolicy::default();
-        p.rlimit_cpu_s = Some(0);
+        let p = SandboxPolicy {
+            rlimit_cpu_s: Some(0),
+            ..SandboxPolicy::default()
+        };
         assert_eq!(p.validate().unwrap_err().field, "rlimit_cpu_s");
     }
 

@@ -15,8 +15,10 @@
 //! | `@err <p>`   | handler returned an error (transient, retryable)    |
 //! | `@panic <p>` | handler panicked; `<p>` is the panic message        |
 //!
-//! Payloads are escaped (`\` → `\\`, newline → `\n`, CR → `\r`) so any
-//! string survives the line framing.
+//! Payloads are escaped (`\` → `\\`, newline → `\n`, CR → `\r`, space →
+//! `\s`) so any string survives the line framing. The fleet protocol
+//! (`chopin_fleet::protocol`) reuses the same codec for its
+//! space-separated fields, which is why spaces are folded too.
 
 /// Environment variable that marks a process as a sandbox worker.
 pub const ENV_WORKER: &str = "CHOPIN_SANDBOX_WORKER";
@@ -43,7 +45,8 @@ pub enum Frame {
     Panic(String),
 }
 
-/// Escape a payload for single-line framing.
+/// Escape a payload so it survives both the line framing (`\n`, `\r`)
+/// and space-separated field framing (`\s`).
 #[must_use]
 pub fn escape(payload: &str) -> String {
     let mut out = String::with_capacity(payload.len());
@@ -52,13 +55,15 @@ pub fn escape(payload: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
+            ' ' => out.push_str("\\s"),
             other => out.push(other),
         }
     }
     out
 }
 
-/// Invert [`escape`]. Unknown escapes pass through verbatim.
+/// Invert [`escape`]. Unknown escapes pass through verbatim, so a torn
+/// escape never corrupts the payload.
 #[must_use]
 pub fn unescape(line: &str) -> String {
     let mut out = String::with_capacity(line.len());
@@ -71,6 +76,7 @@ pub fn unescape(line: &str) -> String {
         match chars.next() {
             Some('n') => out.push('\n'),
             Some('r') => out.push('\r'),
+            Some('s') => out.push(' '),
             Some('\\') => out.push('\\'),
             Some(other) => {
                 out.push('\\');
