@@ -48,7 +48,9 @@ pub mod provenance;
 
 pub use fingerprint::{fingerprint_of, sweep_fingerprint};
 pub use ir::{BenchmarkIR, CellIR, Methodology, PlanIR};
-pub use provenance::{check_provenance, parse_artifact, Artifact, ArtifactKind, ArtifactRow};
+pub use provenance::{
+    check_provenance, parse_artifact, torn_tail_dropped, Artifact, ArtifactKind, ArtifactRow,
+};
 
 use chopin_lint::{Diagnostic, LintReport};
 

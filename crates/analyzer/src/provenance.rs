@@ -75,7 +75,21 @@ fn collector_field(obj: &JsonValue, key: &str) -> Result<CollectorKind, String> 
         .map_err(|e| e.to_string())
 }
 
+/// The complete part of a sweep journal's bytes: everything up to and
+/// including the last newline. The journal appends each record with its
+/// newline in one write, so bytes after the last newline are a torn
+/// append — at most the newest record, cut short by a crash — and are
+/// dropped. A file without any newline is returned whole (a lone header).
+pub fn torn_tail_dropped(bytes: &[u8]) -> &[u8] {
+    match bytes.iter().rposition(|&b| b == b'\n') {
+        Some(last) => &bytes[..=last],
+        None => bytes,
+    }
+}
+
 fn parse_journal(text: &str) -> Result<Artifact, String> {
+    // The prefix ends at a newline, which is always a char boundary.
+    let text = &text[..torn_tail_dropped(text.as_bytes()).len()];
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty journal")?;
     let obj = json::parse(header).map_err(|e| format!("line 1: {e}"))?;
@@ -95,6 +109,11 @@ fn parse_journal(text: &str) -> Result<Artifact, String> {
         }
         let entry = (|| -> Result<(), String> {
             let obj = json::parse(line).map_err(|e| e.to_string())?;
+            // A quarantine verdict records a cell that produced no
+            // result; like a resume, the check skips it.
+            if obj.get("quarantined").is_some() {
+                return Ok(());
+            }
             let benchmark = str_field(&obj, "benchmark")?;
             let collector = collector_field(&obj, "collector")?;
             let heap_factor = num_field(&obj, "heap_factor")?;

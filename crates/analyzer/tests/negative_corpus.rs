@@ -524,3 +524,32 @@ fn r903_hard_faults_under_thread_isolation() {
         "R903 carries a fix-it hint"
     );
 }
+
+#[test]
+fn a_torn_journal_tail_is_dropped_like_resume_does() {
+    // The same rules as `Journal::load`: bytes after the last newline
+    // are an interrupted append, not corruption.
+    let plan = sane_plan();
+    let header = format!(
+        "{{\"journal\":\"chopin-sweep\",\"version\":1.0,\"fingerprint\":\"{:016x}\"}}",
+        plan.resume_fingerprint()
+    );
+    let record = "{\"benchmark\":\"fop\",\"collector\":\"G1\",\"heap_factor\":2.0,\
+                  \"samples\":[{\"collector\":\"G1\",\"heap_factor\":2.0,\"wall_s\":1.0,\
+                  \"task_s\":2.0,\"wall_distillable_s\":0.9,\"task_distillable_s\":1.8}],\
+                  \"infeasible\":null}";
+    // Quarantine verdicts are interleaved with results; like a resume,
+    // the check skips them.
+    let quarantine = "{\"quarantined\":{\"benchmark\":\"fop\",\"collector\":\"G1\",\
+                      \"heap_factor\":2.0},\"attempts\":2,\
+                      \"reason\":{\"kind\":\"signalled\",\"signal\":9}}";
+    let torn = format!("{header}\n{quarantine}\n{record}\n{}", &record[..40]);
+    let report = analyze_artifact(&plan, &torn);
+    assert!(report.diagnostics.is_empty(), "{}", report.render_table());
+
+    // A cut line followed by a complete one is still corruption.
+    let damaged = format!("{header}\n{}\n{record}\n", &record[..40]);
+    let report = analyze_artifact(&plan, &damaged);
+    assert_eq!(ids(&report), vec!["R810"]);
+    assert!(report.diagnostics[0].message.contains("line 2"));
+}

@@ -353,8 +353,9 @@ fn run_chaos_workers(args: &Args) -> i32 {
 /// the hand-off in the `<journal>.takeover` log.
 ///
 /// Scratch space (journal shards, takeover log) lives in
-/// `CHOPIN_CHAOS_NET_DIR` when set — kept for CI upload — or in a
-/// pid-suffixed temp dir removed on exit.
+/// `CHOPIN_CHAOS_NET_DIR` when set — kept for CI upload, so a directory
+/// that already holds `handoff.journal*` files is refused up front (exit
+/// 2) — or in a pid-suffixed temp dir removed on exit.
 fn run_chaos_net(args: &Args) -> i32 {
     const FLEET_WORKERS: u32 = 4;
     const NET_SEED: u64 = 7;
@@ -389,6 +390,35 @@ fn run_chaos_net(args: &Args) -> i32 {
             return 2;
         }
     };
+    let (dir, keep_dir) = match std::env::var("CHOPIN_CHAOS_NET_DIR") {
+        Ok(d) if !d.is_empty() => (std::path::PathBuf::from(d), true),
+        _ => (
+            std::env::temp_dir().join(format!("chopin-chaos-net-{}", std::process::id())),
+            false,
+        ),
+    };
+    // A kept directory is never cleared, and the standby would absorb an
+    // earlier run's journal shards and finish without a takeover: refuse
+    // it before spending a minute on the legs.
+    if keep_dir {
+        let mut leftovers: Vec<String> = std::fs::read_dir(&dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("handoff.journal"))
+            .collect();
+        if !leftovers.is_empty() {
+            leftovers.sort();
+            eprintln!(
+                "error: CHOPIN_CHAOS_NET_DIR={} already holds {} from an earlier run; \
+                 point it at a fresh directory",
+                dir.display(),
+                leftovers.join(", ")
+            );
+            return 2;
+        }
+    }
     let sweep = chopin_harness::presets::chaos_sweep_config();
     let cells = profiles.len() * sweep.collectors.len() * sweep.heap_factors.len();
     let net = NetFaultPlan::preset("storm", NET_SEED).expect("storm is a preset");
@@ -443,13 +473,6 @@ fn run_chaos_net(args: &Args) -> i32 {
     }
 
     // Leg 2: the hand-off, against the real binaries.
-    let (dir, keep_dir) = match std::env::var("CHOPIN_CHAOS_NET_DIR") {
-        Ok(d) if !d.is_empty() => (std::path::PathBuf::from(d), true),
-        _ => (
-            std::env::temp_dir().join(format!("chopin-chaos-net-{}", std::process::id())),
-            false,
-        ),
-    };
     if !keep_dir {
         let _ = std::fs::remove_dir_all(&dir);
     }

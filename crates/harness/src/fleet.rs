@@ -389,8 +389,17 @@ fn absorb_recovered(
     }
     if let Some(base) = journal_path {
         for worker_path in sibling_worker_journals(base) {
-            let Ok(worker_journal) = Journal::load(&worker_path) else {
-                continue;
+            // A shard caught mid-append loads without its torn last line;
+            // only a shard that is corrupt before its tail fails here.
+            let worker_journal = match Journal::load(&worker_path) {
+                Ok(j) => j,
+                Err(e) => {
+                    eprintln!(
+                        "fleet: skipping unreadable worker journal {}: {e}",
+                        worker_path.display()
+                    );
+                    continue;
+                }
             };
             if worker_journal.fingerprint() != fingerprint {
                 stats.foreign_shards += 1;
@@ -2488,6 +2497,47 @@ mod tests {
                 worker: 3
             })
         );
+    }
+
+    /// A worker shard is read while its worker may still be appending to
+    /// it: a torn last line costs that one record, never the shard's
+    /// complete records before it.
+    #[test]
+    fn a_shard_with_a_torn_tail_still_contributes_its_complete_records() {
+        let fingerprint = 0x5eed;
+        let base_path = scratch("torn-shard.journal");
+        let _ = std::fs::remove_file(&base_path);
+        let shard_path = worker_journal_path(&base_path, 2);
+        let prov = Some(CellProvenance {
+            attempt: 1,
+            worker: 2,
+        });
+        let mut shard = Journal::create(&shard_path, fingerprint).unwrap();
+        shard.record(entry("fop", 0.25, prov)).unwrap();
+        shard.record(entry("pmd", 0.5, prov)).unwrap();
+        shard.record(entry("h2", 0.75, prov)).unwrap();
+        drop(shard);
+        // Cut the h2 line mid-write.
+        let bytes = std::fs::read(&shard_path).unwrap();
+        std::fs::write(&shard_path, &bytes[..bytes.len() - 20]).unwrap();
+
+        let cells = vec![(0usize, cell("fop")), (1, cell("pmd")), (2, cell("h2"))];
+        let seeds: Vec<u64> = cells.iter().map(|(_, c)| cell_seed(c)).collect();
+        let mut table = LeaseTable::new(seeds, SupervisorPolicy::default(), 1_000);
+        let mut journal = Some(Journal::create(&base_path, fingerprint).unwrap());
+        let absorbed = absorb_recovered(
+            &mut table,
+            &cells,
+            &mut journal,
+            Some(&base_path),
+            fingerprint,
+        );
+        assert_eq!(absorbed.recovered, 2, "fop and pmd survive the torn h2");
+        assert_eq!(absorbed.foreign_shards, 0);
+        assert!(!table.is_done(), "h2 is still owed");
+        let reloaded = Journal::load(&base_path).unwrap();
+        assert_eq!(reloaded.len(), 2);
+        assert!(reloaded.lookup(&key_of(&cell("h2"))).is_none());
     }
 
     /// Equal `(attempt, worker)` candidates from *different* journals:

@@ -1,14 +1,24 @@
 //! The crash-safe sweep journal: a JSONL record of completed cells that
 //! lets an interrupted suite resume without redoing finished work.
 //!
-//! Every time a cell completes, the whole journal is rewritten to a
-//! sibling `.tmp` file and atomically renamed over the real path, so the
-//! on-disk journal is always a complete, parseable document — a crash
-//! mid-write can only lose the newest cell, never corrupt the file. The
-//! first line is a header carrying a fingerprint of the suite
-//! configuration; resume refuses a journal whose fingerprint does not
-//! match, because replaying cells from a different configuration would
-//! silently mix incompatible results.
+//! The journal is an append-only log. [`Journal::create`] writes the
+//! header line to a sibling `.tmp` file, fsyncs it and atomically renames
+//! it over the real path; every completed cell then appends exactly one
+//! line with a single write and a `sync_data` before
+//! [`Journal::record`] returns, so a cell is durable once it is recorded.
+//! A crash mid-append can only leave the newest line without its
+//! trailing newline; [`Journal::load`] drops such a torn tail, so a crash
+//! loses at most the newest cell and never the file. The first line is a
+//! header carrying a fingerprint of the suite configuration; resume
+//! refuses a journal whose fingerprint does not match, because replaying
+//! cells from a different configuration would silently mix incompatible
+//! results.
+//!
+//! The first write after a load (or after a failed append) rewrites the
+//! whole file once through the same tmp + rename path and reopens it for
+//! appending: that drops a torn tail before anything lands after it,
+//! drops quarantine records cleared by [`Journal::clear_quarantines`], and
+//! repairs a partial line a failed write may have left.
 //!
 //! Serialisation is hand-rolled so every byte of the file is under this
 //! module's control, and parsing reuses [`chopin_obs::json`]. Floats are
@@ -23,6 +33,10 @@
 //! re-records its own verdicts.
 
 use crate::supervisor::QuarantineReason;
+// The torn-tail rule is shared with the analyzer's independent journal
+// reader, so `artifact analyze --results` and `--resume` agree on an
+// interrupted journal.
+use chopin_analyzer::torn_tail_dropped;
 use chopin_core::lbo::RunSample;
 use chopin_obs::json::{self, json_string, JsonValue};
 use chopin_runtime::collector::CollectorKind;
@@ -152,6 +166,11 @@ pub struct Journal {
     fingerprint: u64,
     entries: Vec<JournalEntry>,
     quarantines: Vec<QuarantineRecord>,
+    /// The open file, positioned at its end, while the bytes on disk are
+    /// exactly the rendering of the records above. `None` after a load,
+    /// a failed append or a cleared quarantine list: the next write then
+    /// rewrites the whole file before appending resumes.
+    appender: Option<fs::File>,
 }
 
 impl Journal {
@@ -162,11 +181,12 @@ impl Journal {
     ///
     /// [`JournalError::Io`] if the file cannot be written.
     pub fn create(path: &Path, fingerprint: u64) -> Result<Journal, JournalError> {
-        let journal = Journal {
+        let mut journal = Journal {
             path: path.to_path_buf(),
             fingerprint,
             entries: Vec::new(),
             quarantines: Vec::new(),
+            appender: None,
         };
         journal.persist()?;
         Ok(journal)
@@ -174,12 +194,20 @@ impl Journal {
 
     /// Load an existing journal from `path`.
     ///
+    /// Everything after the last newline is a torn append — a record
+    /// whose write a crash interrupted — and is dropped (see
+    /// [`torn_tail_dropped`]); a file with no newline at all is read as a
+    /// lone header.
+    ///
     /// # Errors
     ///
     /// [`JournalError::Io`] if the file cannot be read,
-    /// [`JournalError::Parse`] if any line is not valid journal content.
+    /// [`JournalError::Parse`] if any complete line is not valid journal
+    /// content.
     pub fn load(path: &Path) -> Result<Journal, JournalError> {
-        let text = fs::read_to_string(path)?;
+        let bytes = fs::read(path)?;
+        let text = std::str::from_utf8(torn_tail_dropped(&bytes))
+            .map_err(|e| JournalError::Io(format!("journal is not UTF-8: {e}")))?;
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or(JournalError::Parse {
             line: 1,
@@ -212,6 +240,7 @@ impl Journal {
             fingerprint,
             entries,
             quarantines,
+            appender: None,
         })
     }
 
@@ -244,28 +273,31 @@ impl Journal {
         &self.entries
     }
 
-    /// Record a completed cell and atomically persist the whole journal.
+    /// Record a completed cell: append its line and `sync_data` it, so
+    /// the cell is durable once this returns.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the rewrite fails (the entry is still
-    /// retained in memory).
+    /// [`JournalError::Io`] if the write fails (the entry is still
+    /// retained in memory, and the next write rewrites the whole file).
     pub fn record(&mut self, entry: JournalEntry) -> Result<(), JournalError> {
+        let line = render_entry(&entry);
         self.entries.push(entry);
-        self.persist()
+        self.append(line)
     }
 
-    /// Record a quarantine verdict and atomically persist the whole
-    /// journal. Quarantined cells never satisfy [`Journal::lookup`], so a
-    /// resumed run still re-attempts them.
+    /// Record a quarantine verdict: append its line and `sync_data` it.
+    /// Quarantined cells never satisfy [`Journal::lookup`], so a resumed
+    /// run still re-attempts them.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] if the rewrite fails (the record is still
-    /// retained in memory).
+    /// [`JournalError::Io`] if the write fails (the record is still
+    /// retained in memory, and the next write rewrites the whole file).
     pub fn record_quarantine(&mut self, record: QuarantineRecord) -> Result<(), JournalError> {
+        let line = render_quarantine(&record);
         self.quarantines.push(record);
-        self.persist()
+        self.append(line)
     }
 
     /// The quarantine verdicts on record, in recording order.
@@ -275,14 +307,34 @@ impl Journal {
 
     /// Drop the quarantine records (a resuming run re-attempts those
     /// cells and records its own verdicts; stale ones would misdescribe
-    /// the resumed run).
+    /// the resumed run). They leave the file at the next write.
     pub fn clear_quarantines(&mut self) {
         self.quarantines.clear();
+        self.appender = None;
     }
 
-    /// Rewrite the journal via tmp-then-rename so the on-disk file is
-    /// replaced atomically.
-    fn persist(&self) -> Result<(), JournalError> {
+    /// Append one rendered record line, newline included, in a single
+    /// write and sync it. Without an open appender the whole file is
+    /// rewritten instead, which covers `line` too because its record is
+    /// already in memory. A failed append drops the appender, so the next
+    /// write repairs whatever part of the line reached the file.
+    fn append(&mut self, mut line: String) -> Result<(), JournalError> {
+        let Some(file) = self.appender.as_mut() else {
+            return self.persist();
+        };
+        line.push('\n');
+        let appended = file
+            .write_all(line.as_bytes())
+            .and_then(|()| file.sync_data());
+        if appended.is_err() {
+            self.appender = None;
+        }
+        appended.map_err(JournalError::from)
+    }
+
+    /// Rewrite the whole journal via tmp-then-rename so the on-disk file
+    /// is replaced atomically, then keep the new file open for appends.
+    fn persist(&mut self) -> Result<(), JournalError> {
         let mut text = String::new();
         let _ = writeln!(
             text,
@@ -307,12 +359,20 @@ impl Journal {
                 .with_file_name(format!("{}.tmp", name.to_string_lossy())),
             None => self.path.with_extension("tmp"),
         };
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_all()?;
-        }
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(text.as_bytes())?;
+        file.sync_all()?;
         fs::rename(&tmp, &self.path)?;
+        // Sync the directory too: records appended from here on live in
+        // the renamed file, so its directory entry must reach the disk.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        fs::File::open(dir)?.sync_all()?;
+        // The handle follows the inode through the rename and sits at the
+        // end of what it wrote: the next record appends right there.
+        self.appender = Some(file);
         Ok(())
     }
 }
@@ -742,5 +802,145 @@ mod tests {
     fn missing_file_is_an_io_error() {
         let err = Journal::load(Path::new("/nonexistent/dir/x.journal")).unwrap_err();
         assert!(matches!(err, JournalError::Io(_)));
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("chopin-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    fn quarantine(factor: f64) -> QuarantineRecord {
+        QuarantineRecord {
+            key: entry("fop", factor).key,
+            attempts: 2,
+            reason: QuarantineReason::Signalled { signal: 9 },
+        }
+    }
+
+    /// A two-record journal and the byte offset where its last line starts.
+    fn two_record_journal(path: &Path) -> (Vec<u8>, usize) {
+        let mut journal = Journal::create(path, 0xfeed).unwrap();
+        journal.record(entry("fop", 2.0)).unwrap();
+        journal.record(entry("pmd", 3.0)).unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        let body = &bytes[..bytes.len() - 1];
+        let last_line = body.iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        (bytes, last_line)
+    }
+
+    #[test]
+    fn appends_produce_the_bytes_of_a_full_rewrite() {
+        // Appended lines land in recording order; the file is exactly
+        // the header plus one rendered line per record.
+        let path = scratch("append_bytes.journal");
+        let mut journal = Journal::create(&path, 0xabc).unwrap();
+        journal.record(entry("fop", 2.0)).unwrap();
+        journal.record_quarantine(quarantine(4.0)).unwrap();
+        journal.record(entry("pmd", 3.0)).unwrap();
+        let expected = format!(
+            "{{\"journal\":\"chopin-sweep\",\"version\":1.0,\"fingerprint\":\"0000000000000abc\"}}\n\
+             {}\n{}\n{}\n",
+            render_entry(&entry("fop", 2.0)),
+            render_quarantine(&quarantine(4.0)),
+            render_entry(&entry("pmd", 3.0)),
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        let loaded = Journal::load(&path).unwrap();
+        assert_eq!((loaded.len(), loaded.quarantines().len()), (2, 1));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_torn_last_line_is_dropped_at_every_cut() {
+        let path = scratch("torn_every_cut.journal");
+        let (bytes, last_line) = two_record_journal(&path);
+        for cut in last_line..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let loaded = Journal::load(&path)
+                .unwrap_or_else(|e| panic!("cut at byte {cut} of {}: {e}", bytes.len()));
+            assert_eq!(loaded.fingerprint(), 0xfeed, "cut at byte {cut}");
+            assert_eq!(loaded.len(), 1, "cut at byte {cut}");
+            assert!(loaded.entries()[0].key.matches(&entry("fop", 2.0).key));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_cut_middle_line_is_still_a_parse_error() {
+        // Only the final line may be torn; a damaged line followed by
+        // complete ones is corruption, reported with its line number.
+        let path = scratch("torn_middle.journal");
+        let (bytes, last_line) = two_record_journal(&path);
+        let middle_start = bytes[..last_line - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        let mut damaged = bytes[..middle_start + (last_line - middle_start) / 2].to_vec();
+        damaged.push(b'\n');
+        damaged.extend_from_slice(&bytes[last_line..]);
+        std::fs::write(&path, &damaged).unwrap();
+        assert!(matches!(
+            Journal::load(&path),
+            Err(JournalError::Parse { line: 2, .. })
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recording_after_a_torn_load_repairs_the_file() {
+        let path = scratch("torn_repair.journal");
+        let (bytes, last_line) = two_record_journal(&path);
+        std::fs::write(&path, &bytes[..last_line + 10]).unwrap();
+        let mut journal = Journal::load(&path).unwrap();
+        journal.record(entry("pmd", 3.0)).unwrap();
+        journal.record(entry("h2", 4.0)).unwrap();
+
+        let reloaded = Journal::load(&path).unwrap();
+        assert_eq!(reloaded.len(), 3);
+        // No fragment of the torn line survives: the file holds the bytes
+        // an uninterrupted run would have written.
+        let clean_path = scratch("torn_repair_clean.journal");
+        let mut clean = Journal::create(&clean_path, 0xfeed).unwrap();
+        for e in [entry("fop", 2.0), entry("pmd", 3.0), entry("h2", 4.0)] {
+            clean.record(e).unwrap();
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&clean_path).unwrap()
+        );
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&clean_path).ok();
+    }
+
+    #[test]
+    fn cleared_quarantines_leave_the_file_at_the_next_write() {
+        let path = scratch("cleared_quarantines.journal");
+        let mut journal = Journal::create(&path, 5).unwrap();
+        journal.record_quarantine(quarantine(2.0)).unwrap();
+        journal.clear_quarantines();
+        journal.record(entry("fop", 2.0)).unwrap();
+        let loaded = Journal::load(&path).unwrap();
+        assert_eq!((loaded.len(), loaded.quarantines().len()), (1, 0));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_append_is_repaired_by_the_next_write() {
+        let path = scratch("failed_append.journal");
+        let mut journal = Journal::create(&path, 6).unwrap();
+        journal.record(entry("fop", 2.0)).unwrap();
+        // A read-only handle makes the next append fail with an I/O error.
+        journal.appender = Some(fs::File::open(&path).unwrap());
+        assert!(matches!(
+            journal.record(entry("pmd", 3.0)),
+            Err(JournalError::Io(_))
+        ));
+        assert_eq!(journal.len(), 2, "the entry is retained in memory");
+        journal.record(entry("h2", 4.0)).unwrap();
+        let loaded = Journal::load(&path).unwrap();
+        assert_eq!(loaded.len(), 3, "the rewrite carries the failed record too");
+        std::fs::remove_file(&path).ok();
     }
 }

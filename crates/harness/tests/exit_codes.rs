@@ -80,3 +80,27 @@ fn srclint_rules_prints_the_shared_catalogue() {
         assert!(stdout.contains(id), "catalogue missing {id}");
     }
 }
+
+#[test]
+fn chaos_net_refuses_a_reused_scratch_dir_at_once() {
+    // A kept scratch dir from an earlier run holds journal shards the
+    // hand-off leg would absorb; the gate must name the directory and
+    // stop before running any leg, and must not delete the evidence.
+    let dir = std::env::temp_dir().join(format!("chopin-chaos-net-reuse-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let shard = dir.join("handoff.journal.w0");
+    std::fs::write(&shard, "left over\n").expect("stale shard");
+    let out = Command::new(env!("CARGO_BIN_EXE_artifact"))
+        .args(["chaos", "--net"])
+        .env("CHOPIN_CHAOS_NET_DIR", &dir)
+        .output()
+        .expect("artifact binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&dir.display().to_string()) && stderr.contains("handoff.journal.w0"),
+        "stderr: {stderr}"
+    );
+    assert!(shard.exists(), "the leftovers are kept for inspection");
+    let _ = std::fs::remove_dir_all(&dir);
+}

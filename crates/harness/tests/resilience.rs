@@ -138,6 +138,58 @@ fn killed_then_resumed_suite_reproduces_the_uninterrupted_csv() {
 }
 
 #[test]
+fn resume_from_a_journal_torn_mid_line_reproduces_the_uninterrupted_csv() {
+    // A crash during an append leaves the newest record without its
+    // newline. Resume must drop that torn line, redo only its cell and
+    // still print the uninterrupted run's CSV byte for byte.
+    let profiles = vec![suite::by_name("fop").expect("fop exists")];
+    let config = small_config();
+    let journal_path = temp_journal("torn");
+    let _ = std::fs::remove_file(&journal_path);
+
+    let uninterrupted = SuiteSupervisor::new(fast_policy())
+        .with_journal(&journal_path)
+        .run(&profiles, &config)
+        .expect("setup is valid");
+    assert!(uninterrupted.is_clean());
+    let reference_csv = render_csv(&uninterrupted.results);
+
+    let bytes = std::fs::read(&journal_path).expect("journal written");
+    let last_line = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("header and records")
+        + 1;
+    let cut = last_line + (bytes.len() - last_line) / 2;
+    std::fs::write(&journal_path, &bytes[..cut]).expect("truncate journal");
+
+    let resumed = SuiteSupervisor::new(fast_policy())
+        .with_journal(&journal_path)
+        .resume(true)
+        .run(&profiles, &config)
+        .expect("a torn tail is not corruption");
+    assert!(resumed.is_clean(), "{}", resumed.quarantine_summary());
+    assert_eq!(
+        resumed.metrics.counter("supervisor.cells.resumed"),
+        3,
+        "every complete record replays; only the torn cell reruns"
+    );
+    assert_eq!(
+        render_csv(&resumed.results),
+        reference_csv,
+        "resuming past a torn line must be byte-identical to the uninterrupted run"
+    );
+    assert_eq!(
+        std::fs::read(&journal_path)
+            .expect("journal rewritten")
+            .len(),
+        bytes.len(),
+        "the torn fragment is gone and the redone cell is journalled"
+    );
+    let _ = std::fs::remove_file(&journal_path);
+}
+
+#[test]
 fn resume_refuses_a_journal_from_a_different_configuration() {
     let profiles = vec![suite::by_name("fop").expect("fop exists")];
     let config = small_config();
