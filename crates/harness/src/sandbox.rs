@@ -447,7 +447,7 @@ pub struct CrashReport {
     pub signal: Option<i32>,
     /// Milliseconds after spawn of the last heartbeat, if any arrived.
     pub last_heartbeat_ms: Option<u64>,
-    /// Peak resident set sampled from procfs, bytes.
+    /// Peak resident set (`ru_maxrss` at reap time), bytes.
     pub peak_rss_bytes: Option<u64>,
     /// Child lifetime, wall milliseconds.
     pub wall_ms: u64,

@@ -1,11 +1,11 @@
 //! Resource limits and self-inflicted signals.
 //!
 //! The workspace forbids `unsafe` everywhere else; this module is the one
-//! sanctioned exception, kept to two minimal libc calls (`setrlimit`,
-//! `raise`) declared by hand — std already links libc on Unix, so no
-//! external crate is needed. Everything exported is a safe wrapper; on
-//! non-Unix platforms the wrappers report the limit as unsupported and
-//! callers fall back to thread-mode isolation.
+//! sanctioned exception, kept to four minimal libc calls (`setrlimit`,
+//! `raise`, `waitid`, `wait4`) declared by hand — std already links libc
+//! on Unix, so no external crate is needed. Everything exported is a safe
+//! wrapper; on non-Unix platforms the wrappers report the call as
+//! unsupported and callers fall back to thread-mode isolation.
 
 /// SIGABRT: abnormal termination (Rust's `abort`, failed allocations).
 pub const SIGABRT: i32 = 6;
@@ -34,12 +34,14 @@ pub fn signal_name(signal: i32) -> &'static str {
 pub const OOM_STDERR_MARKER: &str = "memory allocation of";
 
 #[cfg(unix)]
-// The workspace-wide unsafe ban (R1005) stops at this module: setrlimit
-// has no safe std wrapper, so the sandbox declares the libc binding
-// itself and keeps the unsafe surface to these few lines.
+// The workspace-wide unsafe ban (R1005) stops at this module: setrlimit,
+// waitid and wait4 have no safe std wrapper, so the sandbox declares the
+// libc bindings itself and keeps the unsafe surface to these few lines.
 #[allow(unsafe_code)]
 mod ffi {
     //! Hand-declared libc bindings (std links libc on every Unix target).
+
+    use std::os::raw::{c_int, c_long};
 
     #[repr(C)]
     pub struct RLimit {
@@ -47,10 +49,44 @@ mod ffi {
         pub max: u64,
     }
 
+    /// `siginfo_t`, opaque: 128 bytes on every target this covers, and
+    /// only ever written by the kernel.
+    #[repr(C)]
+    pub struct SigInfo {
+        _bytes: [u64; 16],
+    }
+
+    /// `struct rusage`: two `timeval`s, then fourteen `long`s of which
+    /// only `ru_maxrss` is read.
+    #[repr(C)]
+    #[derive(Default)]
+    pub struct Rusage {
+        _utime: [c_long; 2],
+        _stime: [c_long; 2],
+        pub maxrss: c_long,
+        _rest: [c_long; 13],
+    }
+
     extern "C" {
         fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
         fn raise(sig: i32) -> i32;
+        fn waitid(idtype: c_int, id: u32, infop: *mut SigInfo, options: c_int) -> c_int;
+        fn wait4(pid: c_int, status: *mut c_int, options: c_int, rusage: *mut Rusage) -> c_int;
     }
+
+    const P_PID: c_int = 1;
+    const WEXITED: c_int = 4;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const WNOWAIT: c_int = 0x0100_0000;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const WNOWAIT: c_int = 0x20;
+    const EINTR: i32 = 4;
+
+    /// `ru_maxrss` is in KiB on Linux and in bytes on macOS.
+    #[cfg(target_os = "macos")]
+    const MAXRSS_UNIT: u64 = 1;
+    #[cfg(not(target_os = "macos"))]
+    const MAXRSS_UNIT: u64 = 1024;
 
     /// Resource numbers differ per kernel; cover the targets std supports
     /// that this workspace plausibly runs on.
@@ -90,6 +126,85 @@ mod ffi {
         } else {
             Err(format!("raise({sig}) failed"))
         }
+    }
+
+    /// Retry `call` while it fails with EINTR.
+    fn retrying(mut call: impl FnMut() -> c_int) -> Result<c_int, std::io::Error> {
+        loop {
+            let rc = call();
+            if rc >= 0 {
+                return Ok(rc);
+            }
+            let err = std::io::Error::last_os_error();
+            if err.raw_os_error() != Some(EINTR) {
+                return Err(err);
+            }
+        }
+    }
+
+    pub fn wait_exited(pid: u32) -> Result<(), String> {
+        let mut info = SigInfo { _bytes: [0; 16] };
+        // SAFETY: `info` is a live, writable buffer the size of the
+        // kernel's siginfo_t; waitid writes through it only during the
+        // call. WNOWAIT leaves the child waitable, so nothing is reaped.
+        retrying(|| unsafe { waitid(P_PID, pid, &mut info, WEXITED | WNOWAIT) })
+            .map(|_| ())
+            .map_err(|e| format!("waitid({pid}) failed with {e}"))
+    }
+
+    pub fn reap(pid: u32) -> Result<(c_int, u64), String> {
+        let id = c_int::try_from(pid).map_err(|_| format!("pid {pid} out of range"))?;
+        let mut status: c_int = 0;
+        let mut usage = Rusage::default();
+        // SAFETY: both out-pointers reference live locals of the exact C
+        // layout wait4 writes, and are not retained past the call.
+        retrying(|| unsafe { wait4(id, &mut status, 0, &mut usage) })
+            .map_err(|e| format!("wait4({pid}) failed with {e}"))?;
+        let peak_rss_bytes = u64::try_from(usage.maxrss).unwrap_or(0) * MAXRSS_UNIT;
+        Ok((status, peak_rss_bytes))
+    }
+}
+
+/// How a reaped child ended, with the resource usage the kernel kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reaped {
+    /// The child's wait status.
+    pub status: std::process::ExitStatus,
+    /// The child's peak resident set (`ru_maxrss`), in bytes.
+    pub peak_rss_bytes: u64,
+}
+
+/// Block until child `pid` has exited, *without* reaping it: the child
+/// stays a zombie, so its pid cannot be reused and a late `kill` on it
+/// is harmless. Pair with [`reap`].
+pub fn wait_exited(pid: u32) -> Result<(), String> {
+    #[cfg(unix)]
+    {
+        ffi::wait_exited(pid)
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = pid;
+        Err("waitid is not supported on this platform".to_string())
+    }
+}
+
+/// Reap child `pid`, blocking until it exits, and return its wait status
+/// and peak resident set. Call at most once per child.
+pub fn reap(pid: u32) -> Result<Reaped, String> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt;
+        let (status, peak_rss_bytes) = ffi::reap(pid)?;
+        Ok(Reaped {
+            status: std::process::ExitStatus::from_raw(status),
+            peak_rss_bytes,
+        })
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = pid;
+        Err("wait4 is not supported on this platform".to_string())
     }
 }
 

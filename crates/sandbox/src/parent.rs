@@ -5,18 +5,14 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use crate::clock::WallSpan;
 
-use crate::limits::{OOM_STDERR_MARKER, SIGABRT};
+use crate::limits::{self, OOM_STDERR_MARKER, SIGABRT};
 use crate::policy::SandboxPolicy;
 use crate::protocol::{self, Frame};
-
-/// How often the monitor loop samples the child (exit, heartbeat age,
-/// deadline, peak RSS).
-const POLL: Duration = Duration::from_millis(5);
 
 /// Largest stderr tail retained per child, in bytes. Enough for a panic
 /// backtrace header or the allocator's OOM message; bounded so a child
@@ -88,8 +84,8 @@ pub struct ChildReport {
     pub last_heartbeat_ms: Option<u64>,
     /// Total heartbeats received from this child.
     pub heartbeats: u64,
-    /// Peak resident set size sampled from `/proc/<pid>/status` (VmHWM);
-    /// `None` where procfs is unavailable.
+    /// Peak resident set size (`ru_maxrss` from the reaping `wait4`);
+    /// `None` when the child could not be reaped.
     pub peak_rss_bytes: Option<u64>,
     /// Child lifetime in wall milliseconds.
     pub wall_ms: u64,
@@ -209,107 +205,104 @@ impl SandboxPool {
             let _ = stdin.write_all(request.as_bytes());
         }
 
-        let inbox = Arc::new(Mutex::new(Inbox {
-            last_beat: None,
-            beats: 0,
-            final_frame: None,
-        }));
+        // The stdout reader forwards heartbeats and the final frame, and
+        // after EOF waits (without reaping) for the child to exit, so the
+        // monitor below can block until something happens.
+        let (events, inbox) = mpsc::channel();
         let stdout_thread = child.stdout.take().map(|stdout| {
-            let inbox = Arc::clone(&inbox);
             std::thread::spawn(move || {
                 for line in BufReader::new(stdout).lines() {
                     let Ok(line) = line else { break };
-                    match protocol::parse(&line) {
-                        Some(Frame::Heartbeat) => {
-                            let mut inbox = lock(&inbox);
-                            inbox.last_beat = Some(WallSpan::begin());
-                            inbox.beats += 1;
-                        }
-                        Some(frame) => {
-                            let mut inbox = lock(&inbox);
-                            if inbox.final_frame.is_none() {
-                                inbox.final_frame = Some(frame);
-                            }
-                        }
-                        None => {}
-                    }
+                    let event = match protocol::parse(&line) {
+                        Some(Frame::Heartbeat) => Event::Beat(WallSpan::begin()),
+                        Some(frame) => Event::Final(frame),
+                        None => continue,
+                    };
+                    let _ = events.send(event);
                 }
+                let _ = limits::wait_exited(pid);
+                let _ = events.send(Event::Exited);
             })
         });
-        let stderr_tail = Arc::new(Mutex::new(Vec::<u8>::new()));
         let stderr_thread = child.stderr.take().map(|mut stderr| {
-            let tail = Arc::clone(&stderr_tail);
             std::thread::spawn(move || {
+                let mut tail = Vec::new();
                 let mut buf = [0u8; 1024];
                 while let Ok(n) = stderr.read(&mut buf) {
                     if n == 0 {
                         break;
                     }
-                    let mut tail = lock(&tail);
                     tail.extend_from_slice(&buf[..n]);
                     if tail.len() > STDERR_TAIL_BYTES {
                         let excess = tail.len() - STDERR_TAIL_BYTES;
                         tail.drain(..excess);
                     }
                 }
+                tail
             })
         });
 
         let timeout = self.policy.heartbeat_timeout();
         let mut kill_reason: Option<KillReason> = None;
-        let mut peak_rss = None;
-        let status = loop {
-            if let Some(rss) = read_peak_rss(pid) {
-                peak_rss = Some(rss);
-            }
-            match child.try_wait() {
-                Ok(Some(status)) => break Some(status),
-                Ok(None) => {}
-                Err(_) => break None,
-            }
-            if kill_reason.is_none() {
-                let since_spawn = spawned_at.elapsed();
-                if let Some(budget_ms) = self.deadline_ms {
-                    if since_spawn >= Duration::from_millis(budget_ms) {
-                        kill_reason = Some(KillReason::Deadline { budget_ms });
+        let mut last_beat: Option<WallSpan> = None;
+        let mut heartbeats = 0u64;
+        let mut final_frame: Option<Frame> = None;
+        let ages = |last_beat: Option<WallSpan>| {
+            let since_spawn = spawned_at.elapsed();
+            (
+                since_spawn,
+                last_beat.map_or(since_spawn, |beat| beat.elapsed()),
+            )
+        };
+        loop {
+            // Once the child is killed no watchdog is armed: block until
+            // it has exited.
+            let (deadline_ms, heartbeat_timeout) = match kill_reason {
+                None => (self.deadline_ms, Some(timeout)),
+                Some(_) => (None, None),
+            };
+            let (since_spawn, since_last_beat) = ages(last_beat);
+            let event =
+                match next_wake(since_spawn, since_last_beat, deadline_ms, heartbeat_timeout) {
+                    Some(wait) => inbox.recv_timeout(wait),
+                    None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                };
+            match event {
+                Ok(Event::Beat(at)) => {
+                    last_beat = Some(at);
+                    heartbeats += 1;
+                }
+                Ok(Event::Final(frame)) => {
+                    final_frame.get_or_insert(frame);
+                }
+                Ok(Event::Exited) | Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {
+                    let (since_spawn, since_last_beat) = ages(last_beat);
+                    kill_reason = overdue(since_spawn, since_last_beat, self.deadline_ms, timeout);
+                    if kill_reason.is_some() {
+                        // Nothing reaps the child before `limits::reap`
+                        // below, so this cannot signal a reused pid.
+                        let _ = child.kill();
                     }
                 }
-                let silent = match lock(&inbox).last_beat {
-                    Some(beat) => beat.elapsed(),
-                    None => since_spawn,
-                };
-                if kill_reason.is_none() && silent >= timeout {
-                    kill_reason = Some(KillReason::Heartbeat {
-                        silent_ms: silent.as_millis() as u64,
-                    });
-                }
-                if kill_reason.is_some() {
-                    let _ = child.kill();
-                }
             }
-            std::thread::sleep(POLL);
-        };
+        }
+        let reaped = limits::reap(pid).ok();
         let wall_ms = spawned_at.elapsed().as_millis() as u64;
 
         if let Some(handle) = stdout_thread {
             let _ = handle.join();
         }
-        if let Some(handle) = stderr_thread {
-            let _ = handle.join();
-        }
+        let stderr_tail = stderr_thread
+            .and_then(|handle| handle.join().ok())
+            .unwrap_or_default();
+        let stderr_tail = String::from_utf8_lossy(&stderr_tail).into_owned();
 
-        let (exit_code, signal) = match &status {
-            Some(status) => (status.code(), status_signal(status)),
+        let (exit_code, signal) = match &reaped {
+            Some(reaped) => (reaped.status.code(), status_signal(&reaped.status)),
             None => (None, None),
         };
-        let (final_frame, last_heartbeat_ms, heartbeats) = {
-            let inbox = lock(&inbox);
-            let beat_ms = inbox
-                .last_beat
-                .map(|beat| beat.since(&spawned_at).as_millis() as u64);
-            (inbox.final_frame.clone(), beat_ms, inbox.beats)
-        };
-        let stderr_tail = String::from_utf8_lossy(&lock(&stderr_tail)).into_owned();
+        let last_heartbeat_ms = last_beat.map(|beat| beat.since(&spawned_at).as_millis() as u64);
 
         let outcome = classify(kill_reason, exit_code, signal, final_frame, &stderr_tail);
         ChildReport {
@@ -318,7 +311,7 @@ impl SandboxPool {
             signal,
             last_heartbeat_ms,
             heartbeats,
-            peak_rss_bytes: peak_rss,
+            peak_rss_bytes: reaped.map(|reaped| reaped.peak_rss_bytes),
             wall_ms,
             stderr_tail,
         }
@@ -332,19 +325,51 @@ enum KillReason {
     Heartbeat { silent_ms: u64 },
 }
 
-struct Inbox {
-    last_beat: Option<WallSpan>,
-    beats: u64,
-    final_frame: Option<Frame>,
+/// What the stdout reader thread tells the monitor.
+enum Event {
+    /// A heartbeat line arrived at this instant.
+    Beat(WallSpan),
+    /// A final (non-heartbeat) frame; only the first one counts.
+    Final(Frame),
+    /// Stdout hit EOF and the child has exited (still unreaped).
+    Exited,
 }
 
-/// Lock a mutex, recovering from poisoning (a reader thread that
-/// panicked leaves data that is still safe to read).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
+/// How long the monitor may block before a watchdog could fire: the
+/// earlier of the cell deadline and the heartbeat-silence expiry, zero
+/// when either has already passed. `since_last_beat` is measured from
+/// spawn while no heartbeat has arrived. `None` means no watchdog is
+/// armed, so the monitor blocks until the next event. Pure so the wake
+/// schedule is unit-testable without a clock.
+fn next_wake(
+    since_spawn: Duration,
+    since_last_beat: Duration,
+    deadline_ms: Option<u64>,
+    heartbeat_timeout: Option<Duration>,
+) -> Option<Duration> {
+    let deadline = deadline_ms.map(|ms| Duration::from_millis(ms).saturating_sub(since_spawn));
+    let silence = heartbeat_timeout.map(|timeout| timeout.saturating_sub(since_last_beat));
+    match (deadline, silence) {
+        (Some(deadline), Some(silence)) => Some(deadline.min(silence)),
+        (deadline, silence) => deadline.or(silence),
     }
+}
+
+/// The watchdog that has fired, if any; the deadline wins a tie.
+fn overdue(
+    since_spawn: Duration,
+    since_last_beat: Duration,
+    deadline_ms: Option<u64>,
+    heartbeat_timeout: Duration,
+) -> Option<KillReason> {
+    if let Some(budget_ms) = deadline_ms {
+        if since_spawn >= Duration::from_millis(budget_ms) {
+            return Some(KillReason::Deadline { budget_ms });
+        }
+    }
+    (since_last_beat >= heartbeat_timeout).then_some(KillReason::Heartbeat {
+        silent_ms: since_last_beat.as_millis() as u64,
+    })
 }
 
 /// Map everything the parent observed to a [`ChildOutcome`]. Pure so the
@@ -393,24 +418,6 @@ fn status_signal(status: &std::process::ExitStatus) -> Option<i32> {
 
 #[cfg(not(unix))]
 fn status_signal(_status: &std::process::ExitStatus) -> Option<i32> {
-    None
-}
-
-/// Sample the child's peak resident set (VmHWM) from procfs, in bytes.
-#[cfg(target_os = "linux")]
-fn read_peak_rss(pid: u32) -> Option<u64> {
-    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
-
-#[cfg(not(target_os = "linux"))]
-fn read_peak_rss(_pid: u32) -> Option<u64> {
     None
 }
 
@@ -468,6 +475,66 @@ mod tests {
 
         let outcome = classify(None, None, Some(SIGKILL), None, "");
         assert_eq!(outcome, ChildOutcome::Signalled { signal: SIGKILL });
+    }
+
+    fn ms(millis: u64) -> Duration {
+        Duration::from_millis(millis)
+    }
+
+    #[test]
+    fn the_monitor_wakes_at_the_deadline_when_only_the_deadline_is_armed() {
+        assert_eq!(next_wake(ms(40), ms(5), Some(150), None), Some(ms(110)));
+    }
+
+    #[test]
+    fn the_monitor_wakes_at_heartbeat_expiry_when_only_the_heartbeat_is_armed() {
+        // Measured from the last beat, not from spawn.
+        assert_eq!(
+            next_wake(ms(900), ms(30), None, Some(ms(200))),
+            Some(ms(170))
+        );
+    }
+
+    #[test]
+    fn the_earlier_of_deadline_and_heartbeat_expiry_wins() {
+        assert_eq!(
+            next_wake(ms(100), ms(10), Some(150), Some(ms(200))),
+            Some(ms(50))
+        );
+        assert_eq!(
+            next_wake(ms(100), ms(60), Some(1_000), Some(ms(200))),
+            Some(ms(140))
+        );
+    }
+
+    #[test]
+    fn with_no_watchdog_armed_the_monitor_blocks_on_events() {
+        assert_eq!(next_wake(ms(100), ms(100), None, None), None);
+    }
+
+    #[test]
+    fn an_expired_budget_wakes_at_once() {
+        assert_eq!(
+            next_wake(ms(151), ms(5), Some(150), Some(ms(200))),
+            Some(Duration::ZERO)
+        );
+        assert_eq!(
+            next_wake(ms(900), ms(250), None, Some(ms(200))),
+            Some(Duration::ZERO)
+        );
+    }
+
+    #[test]
+    fn overdue_fires_only_past_a_budget_and_prefers_the_deadline() {
+        assert_eq!(overdue(ms(149), ms(199), Some(150), ms(200)), None);
+        assert_eq!(
+            overdue(ms(150), ms(250), Some(150), ms(200)),
+            Some(KillReason::Deadline { budget_ms: 150 })
+        );
+        assert_eq!(
+            overdue(ms(900), ms(230), None, ms(200)),
+            Some(KillReason::Heartbeat { silent_ms: 230 })
+        );
     }
 
     #[test]

@@ -12,6 +12,9 @@ use chopin_sandbox::parent::RequestLimits;
 use chopin_sandbox::protocol::ENV_NO_HEARTBEAT;
 use chopin_sandbox::{ChildOutcome, SandboxPolicy, SandboxPool};
 
+/// Bytes the `touch` worker writes before it returns.
+const TOUCHED_BYTES: usize = 16 << 20;
+
 /// RLIMIT_AS handed to the self-OOM worker: far below the hoard it
 /// allocates, comfortably above what the test binary needs to start.
 const OOM_RLIMIT_AS: u64 = 256 << 20;
@@ -21,6 +24,10 @@ fn main() {
         "ok" => Ok("payload line".to_string()),
         "empty" => Ok(String::new()),
         "multiline" => Ok("line one\nline two".to_string()),
+        "touch" => {
+            let touched = std::hint::black_box(vec![0x5Au8; TOUCHED_BYTES]);
+            Ok(touched.len().to_string())
+        }
         "err" => Err("transient failure".to_string()),
         "panic" => panic!("worker panicked on purpose"),
         "hang" => loop {
@@ -43,6 +50,8 @@ fn main() {
     }
 
     completion_and_payloads_round_trip();
+    #[cfg(target_os = "linux")]
+    short_lived_children_report_their_real_peak_rss();
     errors_and_panics_are_typed();
     self_sigkill_classifies_as_signalled();
     abort_classifies_as_signalled_sigabrt();
@@ -79,6 +88,28 @@ fn completion_and_payloads_round_trip() {
         ChildOutcome::Completed("line one\nline two".to_string())
     );
     println!("ok completion_and_payloads_round_trip");
+}
+
+/// A child that finishes before the parent could sample it still
+/// reports its peak: the value comes from the kernel at reap time.
+#[cfg(target_os = "linux")]
+fn short_lived_children_report_their_real_peak_rss() {
+    let pool = pool(SandboxPolicy::default());
+    let report = pool.run("touch", RequestLimits::default());
+    assert_eq!(
+        report.outcome,
+        ChildOutcome::Completed(TOUCHED_BYTES.to_string()),
+        "stderr: {}",
+        report.stderr_tail
+    );
+    let peak = report
+        .peak_rss_bytes
+        .expect("a reaped child has a peak RSS");
+    assert!(
+        peak >= TOUCHED_BYTES as u64,
+        "peak RSS {peak} B is below the {TOUCHED_BYTES} B the child touched"
+    );
+    println!("ok short_lived_children_report_their_real_peak_rss");
 }
 
 fn errors_and_panics_are_typed() {
@@ -133,7 +164,7 @@ fn rlimit_as_breach_classifies_as_oom_killed() {
     );
     assert!(
         report.peak_rss_bytes.is_some(),
-        "peak RSS should be sampled from procfs"
+        "peak RSS should come from wait4's ru_maxrss"
     );
     println!("ok rlimit_as_breach_classifies_as_oom_killed");
 }
