@@ -2,9 +2,9 @@
 //! long, and what happens when it dies.
 //!
 //! The table is a pure state machine over a caller-supplied millisecond
-//! clock (`now`): the transport layer feeds it wall time from a
-//! `WallSpan`, the tests feed it a virtual clock, and nothing in here
-//! ever sleeps — which is what makes lease expiry, reassignment and
+//! clock (`now`): the [`Coordinator`](crate::coordinator::Coordinator)
+//! passes on whatever clock its driver runs, the tests feed it a
+//! virtual clock, and nothing in here ever sleeps — which is what makes lease expiry, reassignment and
 //! backoff-sequence pinning testable without real time.
 //!
 //! Life of a cell:
@@ -141,57 +141,6 @@ struct LeaseRecord {
     attempt: u32,
     issued_at: u64,
     active: bool,
-}
-
-/// One wire-level event applied to the lease table — the pure-step
-/// surface used by the `chopin-model` conformance checker, folding every
-/// mutator into a single `(state, event, now) -> effect` transition
-/// function. The transport keeps calling the named methods; `step` is
-/// a thin dispatcher over them, so the model checks the shipped code
-/// paths, not a parallel copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseEvent {
-    /// `@next`: a worker asks for work.
-    Ask {
-        /// The requesting worker.
-        worker: u64,
-    },
-    /// `@done`: a worker reports a completed lease.
-    Done {
-        /// The completed lease.
-        lease: u64,
-        /// Rendered cell response.
-        payload: String,
-    },
-    /// `@fail`: a worker reports a cell-level failure.
-    Fail {
-        /// The failed lease.
-        lease: u64,
-        /// `panicked:<msg>` or `errored:<msg>`.
-        reason: String,
-    },
-    /// EOF / SIGKILL / reaped child: the transport saw a worker die.
-    WorkerDead {
-        /// The dead worker.
-        worker: u64,
-    },
-    /// A poll timeout fired: sweep expired leases.
-    Tick,
-}
-
-/// What a [`LeaseEvent`] did to the table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LeaseEffect {
-    /// `Ask` answered with a grant, a wait, or a drain.
-    Granted(Grant),
-    /// `Done` merged (`true`) or named an unknown lease (`false`).
-    Merged(bool),
-    /// `Fail` requeued, quarantined, or ignored.
-    Failed(FailOutcome),
-    /// `WorkerDead` released the worker's leases.
-    Released,
-    /// `Tick` expired this many leases.
-    Expired(u64),
 }
 
 /// The lease state machine. See the module docs for the lifecycle.
@@ -374,27 +323,6 @@ impl LeaseTable {
         self.metrics.requeued += 1;
     }
 
-    /// Apply one wire-level event at virtual time `now`. Dispatches to
-    /// the named mutators — the model checker drives the table through
-    /// this single entry point so every transition it explores is the
-    /// shipped transition.
-    pub fn step(&mut self, event: LeaseEvent, now: u64) -> LeaseEffect {
-        match event {
-            LeaseEvent::Ask { worker } => LeaseEffect::Granted(self.grant(worker, now)),
-            LeaseEvent::Done { lease, payload } => {
-                LeaseEffect::Merged(self.complete(lease, payload))
-            }
-            LeaseEvent::Fail { lease, reason } => {
-                LeaseEffect::Failed(self.fail(lease, &reason, now))
-            }
-            LeaseEvent::WorkerDead { worker } => {
-                self.worker_dead(worker, now);
-                LeaseEffect::Released
-            }
-            LeaseEvent::Tick => LeaseEffect::Expired(self.expire(now)),
-        }
-    }
-
     /// A worker reported a completed lease. Late and duplicate reports
     /// are welcome: they feed the `(attempt, worker)` merge, no matter
     /// how far past the lease deadline the clock has moved — acceptance
@@ -515,7 +443,7 @@ impl LeaseTable {
     }
 
     /// Milliseconds until the earliest outstanding lease deadline, if
-    /// any lease is outstanding (the coordinator's poll timeout).
+    /// any lease is outstanding (one of the coordinator's wake-ups).
     #[must_use]
     pub fn next_deadline_in(&self, now: u64) -> Option<u64> {
         self.leases
@@ -554,9 +482,8 @@ impl LeaseTable {
             .map(|(a, w, p)| (a, w, p.as_str()))
     }
 
-    /// One resolution per cell in schedule order, without consuming the
-    /// table — how the model checker reads the would-be CSV out of an
-    /// intermediate state.
+    /// One resolution per cell in schedule order — the would-be CSV,
+    /// readable from any intermediate state.
     #[must_use]
     pub fn resolutions(&self) -> Vec<CellResolution> {
         self.cells
@@ -579,13 +506,6 @@ impl LeaseTable {
                 Phase::Pending { .. } | Phase::Leased => CellResolution::Unresolved,
             })
             .collect()
-    }
-
-    /// Consume the table, yielding one resolution per cell in schedule
-    /// order.
-    #[must_use]
-    pub fn into_resolutions(self) -> Vec<CellResolution> {
-        self.resolutions()
     }
 
     /// Canonical rendering of the table at virtual time `now`, with
@@ -692,7 +612,7 @@ mod tests {
         assert!(t.complete(first.lease, "late-but-first-attempt".to_string()));
         assert!(t.complete(second.lease, "release".to_string()));
         assert_eq!(t.metrics().conflicts, 1);
-        let res = t.into_resolutions();
+        let res = t.resolutions();
         assert_eq!(
             res[0],
             CellResolution::Completed {
@@ -761,7 +681,7 @@ mod tests {
             FailOutcome::Quarantined
         );
         assert!(t.is_done());
-        let res = t.into_resolutions();
+        let res = t.resolutions();
         assert_eq!(
             res[0],
             CellResolution::Quarantined {
@@ -795,7 +715,7 @@ mod tests {
         assert_eq!(t.metrics().conflicts, 1);
         assert!(t.is_done());
         assert_eq!(t.grant(1, 501), Grant::Drain);
-        let res = t.into_resolutions();
+        let res = t.resolutions();
         assert_eq!(
             res[0],
             CellResolution::Completed {
@@ -817,7 +737,7 @@ mod tests {
         let g = lease_of(t.grant(0, 0));
         assert_eq!(g.cell, 1, "only the unresolved cell is grantable");
         assert!(t.complete(g.lease, "live".to_string()));
-        let res = t.into_resolutions();
+        let res = t.resolutions();
         assert_eq!(
             res[0],
             CellResolution::Completed {
@@ -857,7 +777,7 @@ mod tests {
                 assert!(t.complete(g.lease, "boundary".to_string()));
                 assert_eq!(t.expire(100), 0, "completion already retired the lease");
             }
-            t.into_resolutions()
+            t.resolutions()
         };
         let (swept_first, delivered_first) = (run(true), run(false));
         assert_eq!(swept_first, delivered_first);
@@ -874,57 +794,6 @@ mod tests {
         let g = lease_of(t.grant(7, 0));
         assert_eq!(t.expire(99), 0);
         assert!(t.complete(g.lease, "early".to_string()));
-    }
-
-    #[test]
-    fn step_dispatches_to_the_named_mutators() {
-        let mut stepped = table(2, 100, 1);
-        let mut direct = table(2, 100, 1);
-        let g = match stepped.step(LeaseEvent::Ask { worker: 0 }, 0) {
-            LeaseEffect::Granted(Grant::Lease(g)) => g,
-            other => panic!("expected a lease, got {other:?}"),
-        };
-        let d = lease_of(direct.grant(0, 0));
-        assert_eq!(g, d);
-        assert_eq!(
-            stepped.step(
-                LeaseEvent::Done {
-                    lease: g.lease,
-                    payload: "p".to_string()
-                },
-                1
-            ),
-            LeaseEffect::Merged(true)
-        );
-        assert!(direct.complete(d.lease, "p".to_string()));
-        let g2 = match stepped.step(LeaseEvent::Ask { worker: 1 }, 1) {
-            LeaseEffect::Granted(Grant::Lease(g)) => g,
-            other => panic!("expected a lease, got {other:?}"),
-        };
-        let d2 = lease_of(direct.grant(1, 1));
-        assert_eq!(
-            stepped.step(
-                LeaseEvent::Fail {
-                    lease: g2.lease,
-                    reason: "errored:x".to_string()
-                },
-                2
-            ),
-            LeaseEffect::Failed(FailOutcome::Requeued)
-        );
-        assert_eq!(direct.fail(d2.lease, "errored:x", 2), FailOutcome::Requeued);
-        assert_eq!(
-            stepped.step(LeaseEvent::WorkerDead { worker: 1 }, 3),
-            LeaseEffect::Released
-        );
-        direct.worker_dead(1, 3);
-        assert_eq!(stepped.step(LeaseEvent::Tick, 500), LeaseEffect::Expired(0));
-        direct.expire(500);
-        assert_eq!(
-            stepped.snapshot(500),
-            direct.snapshot(500),
-            "step must be the same transition function as the mutators"
-        );
     }
 
     #[test]
@@ -960,7 +829,7 @@ mod tests {
         let g = lease_of(t.grant(0, 0));
         assert!(t.complete(g.lease, "done".to_string()));
         assert_eq!(t.resolved_count(), 1);
-        let res = t.into_resolutions(); // cell 1 never granted
+        let res = t.resolutions(); // cell 1 never granted
         assert_eq!(res[1], CellResolution::Unresolved);
     }
 }

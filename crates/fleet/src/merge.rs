@@ -15,6 +15,77 @@
 //! flight; the payload itself breaks that tie (lowest byte order wins),
 //! keeping resolution a pure function of the candidate *set*.
 
+use std::collections::BTreeMap;
+
+use crate::lease::LeaseTable;
+
+/// One durable completion record: a journal row with its provenance,
+/// the currency of recovery.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row {
+    /// Schedule index of the completed cell.
+    pub cell: usize,
+    /// Attempt that produced the record.
+    pub attempt: u32,
+    /// Worker that produced the record.
+    pub worker: u64,
+    /// The rendered response payload.
+    pub payload: String,
+}
+
+/// What [`recover`] did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Recovery {
+    /// The winners of completed cells the base journal lacks, in cell
+    /// order: the caller persists them before any worker truncates its
+    /// shard, or a second coordinator crash can lose them.
+    pub winners: Vec<Row>,
+    /// Cells pre-resolved from the absorbed rows.
+    pub recovered: usize,
+    /// Duplicate rows folded away by the merge tiebreak.
+    pub conflicts: u64,
+}
+
+/// Absorb recovered journal `rows` (base and shards alike) into
+/// `table`, each cell through one [`CellMerge`], and return the winner
+/// of every completed cell for which `persisted` is false. With no
+/// rows this is the seal at assembly: the winners of live completions
+/// the base journal does not hold yet.
+pub fn recover(
+    table: &mut LeaseTable,
+    rows: Vec<Row>,
+    persisted: impl Fn(usize) -> bool,
+) -> Recovery {
+    let mut recovery = Recovery::default();
+    let mut merges: BTreeMap<usize, CellMerge<String>> = BTreeMap::new();
+    for row in rows {
+        merges
+            .entry(row.cell)
+            .or_default()
+            .offer(row.attempt, row.worker, row.payload);
+    }
+    for (cell, merge) in merges {
+        recovery.conflicts += merge.conflicts();
+        if let Some((attempt, worker, payload)) = merge.into_winner() {
+            table.absorb(cell, attempt, worker, payload);
+            recovery.recovered += 1;
+        }
+    }
+    recovery.winners = (0..table.len())
+        .filter(|&cell| !persisted(cell))
+        .filter_map(|cell| {
+            let (attempt, worker, payload) = table.cell_winner(cell)?;
+            Some(Row {
+                cell,
+                attempt,
+                worker,
+                payload: payload.to_string(),
+            })
+        })
+        .collect();
+    recovery
+}
+
 /// Accumulates completion candidates for one cell and resolves them by
 /// the fixed `(attempt, worker)` tiebreak.
 #[derive(Debug, Clone, Default)]

@@ -3,16 +3,15 @@
 //! reassignment and a deterministic journal merge.
 //!
 //! `--fleet N` shards the supervised sweep across `N` worker
-//! *processes*. The coordinator owns the schedule: it compiles the same
-//! deterministic cell list as the sequential supervisor, wraps it in a
-//! [`LeaseTable`] and hands out leases (cell + deadline + attempt) to
-//! whichever worker asks next. Workers are crash domains, not trust
-//! domains: a worker that is SIGKILLed, aborts, or stops heartbeating
-//! merely returns its leases to the pool — the cells are re-leased to
-//! surviving workers with the same seeded full-jitter backoff the
-//! sequential supervisor uses. Worker *slots* carry a crash budget
-//! ([`FleetConfig::max_worker_crashes`]): a slot is respawned under a
-//! fresh worker id until the budget runs out, then quarantined.
+//! *processes*. The coordinator compiles the same deterministic cell
+//! list as the sequential supervisor and hands out leases to whichever
+//! worker asks next; a worker that dies merely returns its leases to
+//! the pool, and a crashed slot is respawned until its crash budget
+//! ([`FleetConfig::max_worker_crashes`]) runs out. Every one of those
+//! decisions is the pure [`Coordinator`]'s; this module is its driver:
+//! it maps connections to worker ids, turns socket and reaper events
+//! into [`Input`]s, carries out the [`Output`]s, and sleeps until the
+//! coordinator's next wake-up.
 //!
 //! Every worker appends completed cells to its own fingerprinted
 //! journal (`<base>.w<id>`), so no two processes ever contend on one
@@ -46,22 +45,20 @@ use crate::supervisor::{
 };
 use chopin_core::sweep::{SweepConfig, SweepFailure, SweepResult};
 use chopin_faults::hard::splitmix64;
-use chopin_faults::net::NetFaultPlan;
-use chopin_faults::{
-    parse_net_flag, FaultPlan, FrameFate, HardFaultKind, SupervisorPolicy, NET_PRESET_NAMES,
-};
+use chopin_faults::{parse_net_flag, FaultPlan, HardFaultKind, SupervisorPolicy, NET_PRESET_NAMES};
+use chopin_fleet::coordinator::{HEARTBEAT_EVERY_MS, HEARTBEAT_TIMEOUT_MS, POLL_MS};
 use chopin_fleet::lease::CellResolution;
 use chopin_fleet::protocol;
 use chopin_fleet::{
-    admission, parse_storm_flag, CellMerge, FleetConfig, FleetFrame, Grant, LeaseTable, Liveness,
-    WorkerStormPlan,
+    parse_storm_flag, recover, Coordinator, FleetConfig, FleetFrame, Incarnation, Input,
+    LeaseTable, Output, Row, WorkerStormPlan,
 };
 use chopin_obs::metrics::fleet_metrics;
 use chopin_obs::MetricsRegistry;
 use chopin_sandbox::clock::WallSpan;
 use chopin_sandbox::limits::{die_by_signal, SIGKILL};
 use chopin_workloads::WorkloadProfile;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,22 +67,6 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
-
-/// How often a worker's heartbeat thread beats, in milliseconds.
-const HEARTBEAT_EVERY_MS: u64 = 500;
-
-/// Coordinator-side silence threshold before a worker is declared dead
-/// and its leases reassigned. Generous (20 beats) because a beat only
-/// needs the worker's heartbeat *thread* alive, not the cell.
-const HEARTBEAT_TIMEOUT_MS: u64 = 10_000;
-
-/// Event-loop poll ceiling: lease expiry and heartbeat staleness are
-/// re-checked at least this often, in milliseconds.
-const POLL_MS: u64 = 250;
-
-/// Worker ids for `--fleet-connect` attachers are assigned from this
-/// base, far above any local slot id (`slot + N * generation`).
-const EXTERNAL_WORKER_BASE: u64 = 1 << 32;
 
 /// Ceiling a worker applies to a coordinator-suggested wait.
 const MAX_WORKER_WAIT_MS: u64 = 1_000;
@@ -112,10 +93,6 @@ const RECONNECT_MAX_MS: u64 = 3_200;
 /// Reconnect attempts before a worker gives up on ever seeing a
 /// coordinator again. Its journal shard keeps everything it finished.
 const MAX_RECONNECT_ATTEMPTS: u32 = 8;
-
-/// How long a takeover coordinator waits for the primary's workers to
-/// reconnect before spawning its own.
-const STANDBY_RESCUE_MS: u64 = 5_000;
 
 /// How long a standby keeps retrying its initial connection to the
 /// primary (the primary may still be compiling its cell list).
@@ -370,22 +347,30 @@ fn absorb_recovered(
     journal_path: Option<&Path>,
     fingerprint: u64,
 ) -> AbsorbStats {
-    let mut stats = AbsorbStats::default();
-    let mut candidates: Vec<(usize, u32, u64, CellRecord)> = Vec::new();
-    let collect = |candidates: &mut Vec<(usize, u32, u64, CellRecord)>,
-                   entries: &[JournalEntry]| {
+    let mut foreign_shards = 0;
+    let mut rows: Vec<Row> = Vec::new();
+    let collect = |rows: &mut Vec<Row>, entries: &[JournalEntry]| {
         for entry in entries {
-            if let Some(idx) = cells
+            if let Some(cell) = cells
                 .iter()
                 .position(|(_, cell)| entry.key.matches(&key_of(cell)))
             {
                 let (attempt, worker) = entry.provenance.map_or((1, 0), |p| (p.attempt, p.worker));
-                candidates.push((idx, attempt, worker, entry.record.clone()));
+                let payload = render_response(&CellOutcome {
+                    samples: entry.record.samples.clone(),
+                    infeasible: entry.record.infeasible.clone(),
+                });
+                rows.push(Row {
+                    cell,
+                    attempt,
+                    worker,
+                    payload,
+                });
             }
         }
     };
     if let Some(j) = journal.as_ref() {
-        collect(&mut candidates, j.entries());
+        collect(&mut rows, j.entries());
     }
     if let Some(base) = journal_path {
         for worker_path in sibling_worker_journals(base) {
@@ -402,7 +387,7 @@ fn absorb_recovered(
                 }
             };
             if worker_journal.fingerprint() != fingerprint {
-                stats.foreign_shards += 1;
+                foreign_shards += 1;
                 eprintln!(
                     "fleet: rejecting worker journal {} (fingerprint {:016x}, sweep is {:016x})",
                     worker_path.display(),
@@ -411,47 +396,44 @@ fn absorb_recovered(
                 );
                 continue;
             }
-            collect(&mut candidates, worker_journal.entries());
+            collect(&mut rows, worker_journal.entries());
         }
     }
-
-    let mut merges: BTreeMap<usize, (CellMerge<String>, u64)> = BTreeMap::new();
-    for (idx, attempt, worker, record) in candidates {
-        let rendered = render_response(&CellOutcome {
-            samples: record.samples,
-            infeasible: record.infeasible,
-        });
-        let slot = merges.entry(idx).or_insert_with(|| (CellMerge::new(), 0));
-        slot.0.offer(attempt, worker, rendered);
-        slot.1 += 1;
+    let recovery = recover(table, rows, |cell| persisted(journal, &cells[cell].1));
+    persist(journal, cells, recovery.winners);
+    AbsorbStats {
+        recovered: recovery.recovered,
+        conflicts: recovery.conflicts,
+        foreign_shards,
     }
+}
 
-    for (idx, (merge, seen)) in merges {
-        stats.conflicts += seen.saturating_sub(1);
-        let Some((attempt, worker, rendered)) = merge.into_winner() else {
-            continue;
-        };
-        let record = match parse_response(&rendered) {
-            Ok(outcome) => CellRecord {
-                samples: outcome.samples,
-                infeasible: outcome.infeasible,
-            },
-            Err(_) => continue,
-        };
-        table.absorb(idx, attempt, worker, rendered);
-        stats.recovered += 1;
-        if let Some(j) = journal.as_mut() {
-            let key = key_of(&cells[idx].1);
-            if j.lookup(&key).is_none() {
-                let _ = j.record(JournalEntry {
-                    key,
-                    record,
-                    provenance: Some(CellProvenance { attempt, worker }),
-                });
-            }
+/// Whether the base journal already holds `cell` (or there is none).
+fn persisted(journal: &Option<Journal>, cell: &Cell) -> bool {
+    journal
+        .as_ref()
+        .is_none_or(|j| j.lookup(&key_of(cell)).is_some())
+}
+
+/// Append recovered or sealed winners to the base journal.
+fn persist(journal: &mut Option<Journal>, cells: &[(usize, Cell)], winners: Vec<Row>) {
+    let Some(j) = journal.as_mut() else { return };
+    for row in winners {
+        // Self-rendered payloads always parse.
+        if let Ok(outcome) = parse_response(&row.payload) {
+            let _ = j.record(JournalEntry {
+                key: key_of(&cells[row.cell].1),
+                record: CellRecord {
+                    samples: outcome.samples,
+                    infeasible: outcome.infeasible,
+                },
+                provenance: Some(CellProvenance {
+                    attempt: row.attempt,
+                    worker: row.worker,
+                }),
+            });
         }
     }
-    stats
 }
 
 // ---------------------------------------------------------------------
@@ -479,88 +461,35 @@ pub(crate) struct FleetRun<'a> {
 /// With `--fleet-standby ADDR` this process is not the primary at all:
 /// it routes into [`run_standby`], registering with the primary and
 /// taking over its lease table if the primary goes silent.
-pub(crate) fn coordinate(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
+pub(crate) fn coordinate(mut run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
     run.config
         .validate()
         .map_err(|e| SuperviseError::Isolation(format!("fleet configuration: {e}")))?;
     if run.config.standby_of.is_some() {
         return run_standby(run);
     }
-
-    let FleetRun {
-        config,
-        policy,
-        faults,
-        profiles,
-        sweep,
-        cells,
-        mut journal,
-        journal_path,
-        fingerprint,
-        crash_reports_path,
-    } = run;
-
-    let seeds: Vec<u64> = cells.iter().map(|(_, cell)| cell_seed(cell)).collect();
-    let mut table = LeaseTable::new(seeds, policy, config.plan.deadline_ms());
-    let absorbed = absorb_recovered(
-        &mut table,
-        &cells,
-        &mut journal,
-        journal_path.as_deref(),
-        fingerprint,
-    );
-
+    let mut journal = run.journal.take();
     let mut metrics = MetricsRegistry::new();
-    metrics.inc("supervisor.cells", cells.len() as u64);
-    metrics.inc("supervisor.cells.resumed", absorbed.recovered as u64);
-    metrics.inc(fleet_metrics::CELLS_RECOVERED, absorbed.recovered as u64);
-    metrics.inc(fleet_metrics::MERGE_CONFLICTS, absorbed.conflicts);
-    metrics.inc(fleet_metrics::SHARDS_REJECTED, absorbed.foreign_shards);
-
+    let (mut table, _) = run.recover(&mut journal, &mut metrics);
     let mut crash_reports = Vec::new();
     if !table.is_done() {
-        let bind = config
-            .bind
-            .clone()
-            .unwrap_or_else(|| DEFAULT_FLEET_BIND.to_string());
-        let listener = TcpListener::bind(&bind).map_err(|e| {
-            SuperviseError::Isolation(format!("fleet cannot bind its socket at {bind}: {e}"))
-        })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| {
-                SuperviseError::Isolation(format!("fleet cannot resolve its socket: {e}"))
-            })?
-            .to_string();
-        crash_reports = run_transport(
-            &config,
-            &faults,
-            sweep,
-            &cells,
-            &mut table,
-            journal_path.as_deref(),
-            fingerprint,
-            &mut metrics,
-            Transport {
-                listener,
-                addr,
-                epoch: 1,
-                spawn_workers: true,
-                rescue_after_ms: None,
-            },
-        )?;
+        let (listener, addr) = bind(&run.config, "fleet")?;
+        (table, crash_reports) = run.serve(table, listener, addr, 1, &mut metrics)?;
     }
+    Ok(run.assemble(table, &mut journal, metrics, crash_reports))
+}
 
-    Ok(assemble_report(
-        profiles,
-        &cells,
-        policy,
-        table,
-        &mut journal,
-        metrics,
-        crash_reports,
-        crash_reports_path.as_deref(),
-    ))
+/// Bind the coordinator's listener (`--fleet-bind`, or an ephemeral
+/// loopback port), returning it with its resolved address.
+fn bind(config: &FleetConfig, who: &str) -> Result<(TcpListener, String), SuperviseError> {
+    let bind = config.bind.as_deref().unwrap_or(DEFAULT_FLEET_BIND);
+    let listener = TcpListener::bind(bind).map_err(|e| {
+        SuperviseError::Isolation(format!("{who} cannot bind its socket at {bind}: {e}"))
+    })?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| SuperviseError::Isolation(format!("{who} cannot resolve its socket: {e}")))?;
+    Ok((listener, addr.to_string()))
 }
 
 /// The successor's takeover log: `<base>.takeover` beside the base
@@ -579,20 +508,10 @@ pub(crate) fn takeover_log_path(base: &Path) -> PathBuf {
 /// without restarting workers (they reconnect to the address the
 /// primary advertised on their behalf).
 fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
-    let FleetRun {
-        config,
-        policy,
-        faults,
-        profiles,
-        sweep,
-        cells,
-        journal: _,
-        journal_path,
-        fingerprint,
-        crash_reports_path,
-    } = run;
+    let config = &run.config;
+    let fingerprint = run.fingerprint;
     let primary = config.standby_of.clone().unwrap_or_default();
-    let Some(journal_path) = journal_path else {
+    let Some(journal_path) = run.journal_path.clone() else {
         return Err(SuperviseError::Isolation(
             "--fleet-standby needs --journal pointing at the primary's journal \
              (rule R1405): the successor reloads the lease table from it"
@@ -603,17 +522,7 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
     // Bind the successor's listener *before* registering: reconnecting
     // workers land in the OS accept backlog while the takeover absorbs
     // the journals, so no reconnect attempt is lost to a closed port.
-    let bind = config
-        .bind
-        .clone()
-        .unwrap_or_else(|| DEFAULT_FLEET_BIND.to_string());
-    let listener = TcpListener::bind(&bind).map_err(|e| {
-        SuperviseError::Isolation(format!("standby cannot bind its socket at {bind}: {e}"))
-    })?;
-    let my_addr = listener
-        .local_addr()
-        .map_err(|e| SuperviseError::Isolation(format!("standby cannot resolve its socket: {e}")))?
-        .to_string();
+    let (listener, my_addr) = bind(config, "standby")?;
 
     // Register with retries — the standby is usually started alongside
     // the primary, possibly before it listens.
@@ -734,41 +643,18 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
     }
     let _ = stream.shutdown(Shutdown::Both);
 
-    let seeds: Vec<u64> = cells.iter().map(|(_, cell)| cell_seed(cell)).collect();
-
     if drained {
         // The primary finished the sweep itself. Reconstruct the same
         // report from the merged journals; grace-loop briefly in case
         // the base journal's last append is still landing.
         let grace = WallSpan::begin();
         loop {
-            let mut table = LeaseTable::new(seeds.clone(), policy, config.plan.deadline_ms());
             let mut journal = Journal::load(&journal_path).ok();
-            let absorbed = absorb_recovered(
-                &mut table,
-                &cells,
-                &mut journal,
-                Some(journal_path.as_path()),
-                fingerprint,
-            );
+            let mut metrics = MetricsRegistry::new();
+            let (table, _) = run.recover(&mut journal, &mut metrics);
             if table.is_done() {
-                let mut metrics = MetricsRegistry::new();
-                metrics.inc("supervisor.cells", cells.len() as u64);
-                metrics.inc("supervisor.cells.resumed", absorbed.recovered as u64);
-                metrics.inc(fleet_metrics::CELLS_RECOVERED, absorbed.recovered as u64);
-                metrics.inc(fleet_metrics::MERGE_CONFLICTS, absorbed.conflicts);
-                metrics.inc(fleet_metrics::SHARDS_REJECTED, absorbed.foreign_shards);
                 eprintln!("fleet: primary drained cleanly; standby reconstructed the report");
-                return Ok(assemble_report(
-                    profiles,
-                    &cells,
-                    policy,
-                    table,
-                    &mut journal,
-                    metrics,
-                    Vec::new(),
-                    crash_reports_path.as_deref(),
-                ));
+                return Ok(run.assemble(table, &mut journal, metrics, Vec::new()));
             }
             if grace.elapsed_ms() as u64 > STANDBY_DRAIN_GRACE_MS {
                 return Err(SuperviseError::Isolation(
@@ -789,7 +675,6 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
     );
     let mut metrics = MetricsRegistry::new();
     metrics.inc(fleet_metrics::TAKEOVERS, 1);
-    let mut table = LeaseTable::new(seeds, policy, config.plan.deadline_ms());
     let mut journal = match Journal::load(&journal_path) {
         Ok(j) => {
             if j.fingerprint() != fingerprint {
@@ -804,18 +689,7 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
             Some(Journal::create(&journal_path, fingerprint).map_err(SuperviseError::Journal)?)
         }
     };
-    let absorbed = absorb_recovered(
-        &mut table,
-        &cells,
-        &mut journal,
-        Some(journal_path.as_path()),
-        fingerprint,
-    );
-    metrics.inc("supervisor.cells", cells.len() as u64);
-    metrics.inc("supervisor.cells.resumed", absorbed.recovered as u64);
-    metrics.inc(fleet_metrics::CELLS_RECOVERED, absorbed.recovered as u64);
-    metrics.inc(fleet_metrics::MERGE_CONFLICTS, absorbed.conflicts);
-    metrics.inc(fleet_metrics::SHARDS_REJECTED, absorbed.foreign_shards);
+    let (mut table, absorbed) = run.recover(&mut journal, &mut metrics);
     let _ = std::fs::write(
         takeover_log_path(&journal_path),
         format!(
@@ -830,154 +704,144 @@ fn run_standby(run: FleetRun<'_>) -> Result<SuiteReport, SuperviseError> {
 
     let mut crash_reports = Vec::new();
     if !table.is_done() {
-        crash_reports = run_transport(
-            &config,
-            &faults,
-            sweep,
-            &cells,
-            &mut table,
-            Some(journal_path.as_path()),
-            fingerprint,
-            &mut metrics,
-            Transport {
-                listener,
-                addr: my_addr,
-                epoch: epoch + 1,
-                spawn_workers: false,
-                rescue_after_ms: Some(STANDBY_RESCUE_MS),
-            },
-        )?;
+        (table, crash_reports) = run.serve(table, listener, my_addr, epoch + 1, &mut metrics)?;
     }
-    Ok(assemble_report(
-        profiles,
-        &cells,
-        policy,
-        table,
-        &mut journal,
-        metrics,
-        crash_reports,
-        crash_reports_path.as_deref(),
-    ))
+    Ok(run.assemble(table, &mut journal, metrics, crash_reports))
 }
 
-/// Assemble the final report from a drained lease table, in schedule
-/// order — byte-identical to the sequential supervisor. Shared by the
-/// primary coordinator and the standby's takeover/reconstruction paths.
-#[allow(clippy::too_many_arguments)]
-fn assemble_report(
-    profiles: &[WorkloadProfile],
-    cells: &[(usize, Cell)],
-    policy: SupervisorPolicy,
-    table: LeaseTable,
-    journal: &mut Option<Journal>,
-    mut metrics: MetricsRegistry,
-    crash_reports: Vec<CrashReport>,
-    crash_reports_path: Option<&Path>,
-) -> SuiteReport {
-    // Assembly: schedule order, exactly like the sequential supervisor.
-    let mut results: Vec<SweepResult> = profiles
-        .iter()
-        .map(|p| SweepResult {
-            benchmark: p.name.to_string(),
-            samples: Vec::new(),
-            failures: Vec::new(),
-        })
-        .collect();
-    let mut quarantined = Vec::new();
-    for (resolution, (pi, cell)) in table.into_resolutions().into_iter().zip(cells) {
-        match resolution {
-            CellResolution::Completed {
-                attempt,
-                worker,
-                payload,
-            } => {
-                let outcome = match parse_response(&payload) {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
-                        // Self-rendered payloads always parse; only a
-                        // corrupted recovered journal line lands here.
-                        metrics.inc("supervisor.cells.quarantined", 1);
-                        quarantined.push(QuarantineEntry {
-                            cell: cell.clone(),
-                            attempts: attempt,
-                            reason: QuarantineReason::Errored(format!(
-                                "merged payload unreadable: {e}"
-                            )),
-                        });
-                        continue;
+impl FleetRun<'_> {
+    /// A fresh lease table over the schedule holding every completion
+    /// [`absorb_recovered`] finds on disk, with the recovery counted in
+    /// `metrics`.
+    fn recover(
+        &self,
+        journal: &mut Option<Journal>,
+        metrics: &mut MetricsRegistry,
+    ) -> (LeaseTable, AbsorbStats) {
+        let seeds = self.cells.iter().map(|(_, cell)| cell_seed(cell)).collect();
+        let mut table = LeaseTable::new(seeds, self.policy, self.config.plan.deadline_ms());
+        let path = self.journal_path.as_deref();
+        let absorbed = absorb_recovered(&mut table, &self.cells, journal, path, self.fingerprint);
+        for (name, value) in [
+            ("supervisor.cells", self.cells.len() as u64),
+            ("supervisor.cells.resumed", absorbed.recovered as u64),
+            (fleet_metrics::CELLS_RECOVERED, absorbed.recovered as u64),
+            (fleet_metrics::MERGE_CONFLICTS, absorbed.conflicts),
+            (fleet_metrics::SHARDS_REJECTED, absorbed.foreign_shards),
+        ] {
+            metrics.inc(name, value);
+        }
+        (table, absorbed)
+    }
+
+    /// Assemble the final report from a drained lease table, in
+    /// schedule order — byte-identical to the sequential supervisor.
+    /// Shared by the primary and the standby's takeover and
+    /// reconstruction paths.
+    fn assemble(
+        &self,
+        mut table: LeaseTable,
+        journal: &mut Option<Journal>,
+        mut metrics: MetricsRegistry,
+        crash_reports: Vec<CrashReport>,
+    ) -> SuiteReport {
+        let cells = &self.cells;
+        // Seal the base journal with every winner it does not hold yet.
+        let seal = recover(&mut table, Vec::new(), |cell| {
+            persisted(journal, &cells[cell].1)
+        });
+        persist(journal, cells, seal.winners);
+        // Assembly: schedule order, exactly like the sequential supervisor.
+        let mut results: Vec<SweepResult> = self
+            .profiles
+            .iter()
+            .map(|p| SweepResult {
+                benchmark: p.name.to_string(),
+                samples: Vec::new(),
+                failures: Vec::new(),
+            })
+            .collect();
+        let mut quarantined = Vec::new();
+        for (resolution, (pi, cell)) in table.resolutions().into_iter().zip(cells) {
+            match resolution {
+                CellResolution::Completed {
+                    attempt, payload, ..
+                } => {
+                    let outcome = match parse_response(&payload) {
+                        Ok(outcome) => outcome,
+                        Err(e) => {
+                            // Self-rendered payloads always parse; only a
+                            // corrupted recovered journal line lands here.
+                            metrics.inc("supervisor.cells.quarantined", 1);
+                            quarantined.push(QuarantineEntry {
+                                cell: cell.clone(),
+                                attempts: attempt,
+                                reason: QuarantineReason::Errored(format!(
+                                    "merged payload unreadable: {e}"
+                                )),
+                            });
+                            continue;
+                        }
+                    };
+                    metrics.inc("supervisor.cells.completed", 1);
+                    if outcome.infeasible.is_some() {
+                        metrics.inc("supervisor.cells.infeasible", 1);
                     }
-                };
-                metrics.inc("supervisor.cells.completed", 1);
-                if outcome.infeasible.is_some() {
-                    metrics.inc("supervisor.cells.infeasible", 1);
-                }
-                if let Some(j) = journal.as_mut() {
-                    let key = key_of(cell);
-                    if j.lookup(&key).is_none() {
-                        let _ = j.record(JournalEntry {
-                            key,
-                            record: CellRecord {
-                                samples: outcome.samples.clone(),
-                                infeasible: outcome.infeasible.clone(),
-                            },
-                            provenance: Some(CellProvenance { attempt, worker }),
+                    results[*pi].samples.extend(outcome.samples);
+                    if let Some(reason) = outcome.infeasible {
+                        results[*pi].failures.push(SweepFailure {
+                            collector: cell.collector,
+                            heap_factor: cell.heap_factor,
+                            reason,
                         });
                     }
                 }
-                results[*pi].samples.extend(outcome.samples);
-                if let Some(reason) = outcome.infeasible {
-                    results[*pi].failures.push(SweepFailure {
-                        collector: cell.collector,
-                        heap_factor: cell.heap_factor,
-                        reason,
+                CellResolution::Quarantined { reason } => {
+                    metrics.inc("supervisor.cells.quarantined", 1);
+                    let entry = QuarantineEntry {
+                        cell: cell.clone(),
+                        attempts: 1 + self.policy.max_retries,
+                        reason: parse_reason(&reason),
+                    };
+                    if let Some(j) = journal.as_mut() {
+                        let _ = j.record_quarantine(QuarantineRecord {
+                            key: key_of(cell),
+                            attempts: entry.attempts,
+                            reason: entry.reason.clone(),
+                        });
+                    }
+                    quarantined.push(entry);
+                }
+                CellResolution::Unresolved => {
+                    // Unreachable in practice: the transport only returns
+                    // once the table drains, and errors propagate above.
+                    metrics.inc("supervisor.cells.quarantined", 1);
+                    quarantined.push(QuarantineEntry {
+                        cell: cell.clone(),
+                        attempts: 0,
+                        reason: QuarantineReason::Errored(
+                            "unresolved: the coordinator stopped before this cell".to_string(),
+                        ),
                     });
                 }
             }
-            CellResolution::Quarantined { reason } => {
-                metrics.inc("supervisor.cells.quarantined", 1);
-                let entry = QuarantineEntry {
-                    cell: cell.clone(),
-                    attempts: 1 + policy.max_retries,
-                    reason: parse_reason(&reason),
-                };
-                if let Some(j) = journal.as_mut() {
-                    let _ = j.record_quarantine(QuarantineRecord {
-                        key: key_of(cell),
-                        attempts: entry.attempts,
-                        reason: entry.reason.clone(),
-                    });
-                }
-                quarantined.push(entry);
-            }
-            CellResolution::Unresolved => {
-                // Unreachable in practice: the transport only returns
-                // once the table drains, and errors propagate above.
-                metrics.inc("supervisor.cells.quarantined", 1);
-                quarantined.push(QuarantineEntry {
-                    cell: cell.clone(),
-                    attempts: 0,
-                    reason: QuarantineReason::Errored(
-                        "unresolved: the coordinator stopped before this cell".to_string(),
-                    ),
-                });
+        }
+
+        if let Some(path) = &self.crash_reports_path {
+            if let Err(e) = write_crash_reports(path, &crash_reports) {
+                eprintln!(
+                    "warning: could not write crash reports to {}: {e}",
+                    path.display()
+                );
             }
         }
-    }
 
-    if let Some(path) = crash_reports_path {
-        if let Err(e) = write_crash_reports(path, &crash_reports) {
-            eprintln!(
-                "warning: could not write crash reports to {}: {e}",
-                path.display()
-            );
+        SuiteReport {
+            results,
+            quarantined,
+            crash_reports,
+            metrics,
         }
-    }
-
-    SuiteReport {
-        results,
-        quarantined,
-        crash_reports,
-        metrics,
     }
 }
 
@@ -995,272 +859,18 @@ fn parse_reason(reason: &str) -> QuarantineReason {
 
 /// An event delivered to the coordinator loop by its reader, acceptor
 /// and reaper threads. Connections are identified by a local counter
-/// until their `Hello` binds them to a worker id.
+/// until the coordinator binds them to a worker id.
 enum Event {
-    /// A connection sent its `Hello`; the write half rides along.
-    Joined {
-        conn: u64,
-        hint: Option<u64>,
-        token: Option<String>,
-        stream: TcpStream,
-    },
-    /// A post-join frame.
+    /// A connection opened; its write half rides along, so the
+    /// coordinator loop owns all outbound traffic.
+    Connected { conn: u64, stream: TcpStream },
+    /// A frame arrived on a connection.
     Frame { conn: u64, frame: FleetFrame },
     /// The connection closed or errored.
     Eof { conn: u64 },
-    /// A locally-spawned worker process exited.
-    ChildExit {
-        slot: usize,
-        worker: u64,
-        clean: bool,
-        signal: Option<i32>,
-    },
-}
-
-/// A joined connection: the worker it speaks for and the write half.
-struct Peer {
-    worker: u64,
-    stream: TcpStream,
-}
-
-/// One local worker slot: respawned with a fresh id on each crash until
-/// its crash budget runs out.
-struct SlotState {
-    worker: u64,
-    generation: u32,
-    crashes: u32,
-    alive: bool,
-    quarantined: bool,
-}
-
-/// Coordinator state shared by the event handlers.
-struct FleetState<'a> {
-    cells: &'a [(usize, Cell)],
-    table: &'a mut LeaseTable,
-    /// Joined connections by connection id.
-    peers: BTreeMap<u64, Peer>,
-    /// Worker id → connection id, for targeted shutdown.
-    worker_conns: BTreeMap<u64, u64>,
-    /// The heartbeat reaper: staleness, idempotent death declaration,
-    /// revival on reconnect ([`chopin_fleet::Liveness`]).
-    liveness: Liveness,
-    slots: Vec<SlotState>,
-    reports: Vec<CrashReport>,
-    spawned: u64,
-    deaths: u64,
-    quarantined_slots: u64,
-    completions: u64,
-    next_external: u64,
-    journal_base: Option<String>,
-    fingerprint: u64,
-    /// `CHOPIN_FLEET_DIE_AFTER`: SIGKILL the coordinator after this
-    /// many completions (the integration test's crash trigger).
-    hard_die: Option<u64>,
-    /// This incarnation's nonce, carried in `Welcome` and required as an
-    /// echo on `Done`/`Fail` — the fence against stale completions from
-    /// a previous coordinator's lease-id space.
-    coord: u64,
-    /// Logical hand-off depth: the primary serves 1, takeovers increment.
-    epoch: u32,
-    /// Per-run admission token (`--fleet-token`), if any.
-    expected_token: Option<String>,
-    /// The seeded net-fault shim over the worker links (`--net-faults`).
-    net: Option<NetFaultPlan>,
-    /// Per-worker outbound frame counter feeding the shim's fate rolls.
-    net_seq: BTreeMap<u64, u64>,
-    /// Shim-delayed outbound frames: `(due_ms, conn, frame)`.
-    delayed: Vec<(u64, u64, FleetFrame)>,
-    /// Connections registered as standby coordinators (exempt from the
-    /// shim and from worker accounting).
-    standby_conns: BTreeSet<u64>,
-    /// The advertised successor address, broadcast to every worker.
-    successor: Option<String>,
-    net_dropped: u64,
-    net_delayed: u64,
-    net_duplicated: u64,
-    net_partitioned: u64,
-    auth_rejected: u64,
-    stale_fenced: u64,
-    revived: u64,
-}
-
-impl FleetState<'_> {
-    /// Write a frame straight to the connection, bypassing the net-fault
-    /// shim — the control plane (welcomes, rejections, drains, standby
-    /// advertisements) stays reliable so chaos stays convergent.
-    fn send_raw(&mut self, conn: u64, frame: &FleetFrame) {
-        if let Some(peer) = self.peers.get_mut(&conn) {
-            let line = format!("{}\n", protocol::render(frame));
-            let _ = peer.stream.write_all(line.as_bytes());
-        }
-    }
-
-    /// Send a data-plane frame through the net-fault shim: a partition
-    /// window swallows it; otherwise the seeded per-frame fate may drop,
-    /// delay or duplicate it. Without `--net-faults` this is a plain
-    /// write.
-    fn send(&mut self, conn: u64, frame: &FleetFrame, now: u64) {
-        let data_plane = matches!(frame, FleetFrame::Lease { .. } | FleetFrame::Wait { .. });
-        if data_plane && !self.standby_conns.contains(&conn) {
-            if let Some(plan) = self.net {
-                let Some(worker) = self.peers.get(&conn).map(|p| p.worker) else {
-                    return;
-                };
-                if plan.partitioned(worker, now) {
-                    self.net_partitioned += 1;
-                    return;
-                }
-                let seq = self.net_seq.entry(worker).or_insert(0);
-                *seq += 1;
-                let seq = *seq;
-                match plan.fate(worker, seq) {
-                    FrameFate::Deliver => {}
-                    FrameFate::Drop => {
-                        self.net_dropped += 1;
-                        return;
-                    }
-                    FrameFate::Delay(ms) => {
-                        self.net_delayed += 1;
-                        self.delayed.push((now + ms, conn, frame.clone()));
-                        return;
-                    }
-                    FrameFate::Duplicate => {
-                        self.net_duplicated += 1;
-                        self.send_raw(conn, frame);
-                    }
-                }
-            }
-        }
-        self.send_raw(conn, frame);
-    }
-
-    /// Deliver every shim-delayed frame whose due time has passed.
-    fn flush_delayed(&mut self, now: u64) {
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                let (_, conn, frame) = self.delayed.remove(i);
-                self.send_raw(conn, &frame);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Whether an inbound frame is swallowed by an active partition
-    /// window. Only the worker data plane (`Next`/`Done`/`Fail`/`Beat`)
-    /// partitions — `@beat` included, so the reaper sees real silence.
-    fn inbound_blocked(&mut self, conn: u64, frame: &FleetFrame, now: u64) -> bool {
-        let Some(plan) = self.net else { return false };
-        if self.standby_conns.contains(&conn) {
-            return false;
-        }
-        let Some(worker) = self.peers.get(&conn).map(|p| p.worker) else {
-            return false;
-        };
-        let data_plane = matches!(
-            frame,
-            FleetFrame::Next { .. }
-                | FleetFrame::Done { .. }
-                | FleetFrame::Fail { .. }
-                | FleetFrame::Beat { .. }
-        );
-        if data_plane && plan.partitioned(worker, now) {
-            self.net_partitioned += 1;
-            return true;
-        }
-        false
-    }
-
-    /// Admit a joined connection: check the run token, assign (or
-    /// honour) its worker id and welcome it with the journal
-    /// fingerprint, base path and this incarnation's coord/epoch.
-    fn admit(
-        &mut self,
-        conn: u64,
-        hint: Option<u64>,
-        token: Option<String>,
-        mut stream: TcpStream,
-        now: u64,
-    ) {
-        if !admission(self.expected_token.as_deref(), token.as_deref()) {
-            self.auth_rejected += 1;
-            eprintln!("fleet: refusing a connection: auth token mismatch");
-            let line = format!(
-                "{}\n",
-                protocol::render(&FleetFrame::Reject {
-                    reason: "auth token mismatch: this run requires --fleet-token".to_string(),
-                })
-            );
-            let _ = stream.write_all(line.as_bytes());
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        let worker = hint.unwrap_or_else(|| {
-            let id = self.next_external;
-            self.next_external += 1;
-            id
-        });
-        // A reconnect under the same id replaces the old connection.
-        if let Some(old) = self.worker_conns.insert(worker, conn) {
-            self.standby_conns.remove(&old);
-            if let Some(peer) = self.peers.remove(&old) {
-                let _ = peer.stream.shutdown(Shutdown::Both);
-            }
-        }
-        self.peers.insert(conn, Peer { worker, stream });
-        if self.liveness.revive(worker, now) {
-            self.revived += 1;
-            eprintln!("fleet: worker {worker} reconnected after being reaped; revived");
-        }
-        let welcome = FleetFrame::Welcome {
-            worker,
-            fingerprint: format!("{:016x}", self.fingerprint),
-            coord: self.coord,
-            epoch: self.epoch,
-            journal: self.journal_base.clone(),
-        };
-        self.send_raw(conn, &welcome);
-        if let Some(addr) = self.successor.clone() {
-            self.send_raw(conn, &FleetFrame::Standby { addr });
-        }
-    }
-
-    /// Declare a worker dead exactly once: file a crash report per held
-    /// lease, return its leases to the pool, drop its connection.
-    /// Returns `false` when the worker was already declared.
-    fn declare_dead(&mut self, worker: u64, now: u64, signal: Option<i32>) -> bool {
-        let last_beat = self.liveness.last_seen(worker);
-        if !self.liveness.declare_dead(worker) {
-            return false;
-        }
-        self.deaths += 1;
-        for cell_idx in self.table.held_cells(worker) {
-            let (_, cell) = &self.cells[cell_idx];
-            self.reports.push(CrashReport {
-                benchmark: cell.benchmark.clone(),
-                collector: cell.collector.to_string(),
-                heap_factor: cell.heap_factor,
-                outcome: "worker-died".to_string(),
-                exit_code: None,
-                signal,
-                last_heartbeat_ms: last_beat,
-                peak_rss_bytes: None,
-                wall_ms: now,
-            });
-        }
-        self.table.worker_dead(worker, now);
-        if let Some(conn) = self.worker_conns.remove(&worker) {
-            if let Some(peer) = self.peers.remove(&conn) {
-                let _ = peer.stream.shutdown(Shutdown::Both);
-            }
-        }
-        true
-    }
-
-    fn slot_of(&self, worker: u64) -> Option<usize> {
-        self.slots.iter().position(|s| s.worker == worker)
-    }
+    /// A locally-spawned worker process exited (or failed to spawn):
+    /// an [`Input::ChildExit`].
+    Exited(Input),
 }
 
 /// Spawns local worker processes (this same executable, marked via the
@@ -1274,7 +884,9 @@ struct Spawner {
 }
 
 impl Spawner {
-    fn spawn(&self, slot: usize, worker: u64) -> std::io::Result<()> {
+    /// Spawn worker `worker`; a spawn that fails is reported as a
+    /// crashed child, so the slot's crash budget decides what follows.
+    fn spawn(&self, slot: usize, worker: u64) {
         let mut cmd = Command::new(&self.exe);
         cmd.env(protocol::ENV_FLEET_WORKER, "1")
             .env(protocol::ENV_FLEET_ADDR, &self.addr)
@@ -1291,21 +903,30 @@ impl Spawner {
         if let Some(token) = &self.token_env {
             cmd.env(protocol::ENV_FLEET_TOKEN, token);
         }
-        let mut child = cmd.spawn()?;
         let tx = self.tx.clone();
-        std::thread::spawn(move || {
-            let (clean, signal) = match child.wait() {
-                Ok(status) => (status.success(), status_signal(&status)),
-                Err(_) => (false, None),
-            };
-            let _ = tx.send(Event::ChildExit {
-                slot,
-                worker,
-                clean,
-                signal,
-            });
-        });
-        Ok(())
+        match cmd.spawn() {
+            Ok(mut child) => {
+                std::thread::spawn(move || {
+                    let (clean, signal) = match child.wait() {
+                        Ok(status) => (status.success(), status_signal(&status)),
+                        Err(_) => (false, None),
+                    };
+                    let _ = tx.send(Event::Exited(Input::ChildExit {
+                        worker,
+                        clean,
+                        signal,
+                    }));
+                });
+            }
+            Err(e) => {
+                eprintln!("fleet: could not spawn worker {worker} for slot {slot}: {e}");
+                let _ = tx.send(Event::Exited(Input::ChildExit {
+                    worker,
+                    clean: false,
+                    signal: None,
+                }));
+            }
+        }
     }
 }
 
@@ -1336,257 +957,27 @@ fn accept_loop(listener: TcpListener, tx: mpsc::Sender<Event>, stop: Arc<AtomicB
 
 fn reader_loop(conn: u64, stream: TcpStream, tx: mpsc::Sender<Event>) {
     let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        let _ = tx.send(Event::Eof { conn });
-        return;
+    let event = match stream.try_clone() {
+        Ok(write_half) => Event::Connected {
+            conn,
+            stream: write_half,
+        },
+        Err(_) => Event::Eof { conn },
     };
-    let mut write_half = Some(stream);
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
+    let connected = matches!(event, Event::Connected { .. });
+    if tx.send(event).is_err() || !connected {
+        return;
+    }
+    for line in BufReader::new(stream).lines() {
         let Ok(line) = line else { break };
         let Some(frame) = protocol::parse(&line) else {
             continue;
         };
-        match (&frame, write_half.take()) {
-            // The first frame must be the Hello; the write half rides
-            // along so the coordinator owns all outbound traffic.
-            (FleetFrame::Hello { worker, token }, Some(stream)) => {
-                let hint = *worker;
-                let token = token.clone();
-                if tx
-                    .send(Event::Joined {
-                        conn,
-                        hint,
-                        token,
-                        stream,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            (_, Some(stream)) => {
-                // Pre-Hello garbage: keep waiting for the Hello.
-                write_half = Some(stream);
-            }
-            (_, None) => {
-                if tx.send(Event::Frame { conn, frame }).is_err() {
-                    return;
-                }
-            }
+        if tx.send(Event::Frame { conn, frame }).is_err() {
+            return;
         }
     }
     let _ = tx.send(Event::Eof { conn });
-}
-
-/// Quarantine or respawn a local slot after its worker crashed. The
-/// caller has already declared the old worker dead.
-fn crash_slot(st: &mut FleetState<'_>, spawner: &Spawner, slot: usize, config: &FleetConfig) {
-    let done = st.table.is_done();
-    st.slots[slot].alive = false;
-    st.slots[slot].crashes += 1;
-    if done || st.slots[slot].quarantined {
-        return;
-    }
-    if st.slots[slot].crashes >= config.max_worker_crashes {
-        st.slots[slot].quarantined = true;
-        st.quarantined_slots += 1;
-        eprintln!(
-            "fleet: worker slot {slot} quarantined after {} crash(es)",
-            st.slots[slot].crashes
-        );
-        return;
-    }
-    st.slots[slot].generation += 1;
-    let worker =
-        slot as u64 + u64::from(config.plan.workers) * u64::from(st.slots[slot].generation);
-    st.slots[slot].worker = worker;
-    match spawner.spawn(slot, worker) {
-        Ok(()) => {
-            st.slots[slot].alive = true;
-            st.spawned += 1;
-        }
-        Err(e) => {
-            eprintln!("fleet: could not respawn worker slot {slot}: {e}");
-            st.slots[slot].quarantined = true;
-            st.quarantined_slots += 1;
-        }
-    }
-}
-
-/// Declare workers that stopped heartbeating dead and respawn their
-/// slots. A worker whose process is merely wedged (not exited) keeps
-/// its socket open, so the reaper never fires for it — staleness is the
-/// only way its leases come back.
-fn check_heartbeats(st: &mut FleetState<'_>, spawner: &Spawner, config: &FleetConfig, now: u64) {
-    for worker in st.liveness.stale(now) {
-        if st.net.is_some() {
-            // Under injected net faults silence usually means partition,
-            // not death: reassign the leases but leave the slot alone —
-            // the process is alive and will reconnect (revive). A real
-            // exit still respawns via its ChildExit event.
-            eprintln!(
-                "fleet: worker {worker} went silent under net faults; \
-                 leases reassigned, awaiting reconnect"
-            );
-            st.declare_dead(worker, now, None);
-        } else {
-            eprintln!("fleet: worker {worker} went silent; reassigning its leases");
-            st.declare_dead(worker, now, None);
-            if let Some(slot) = st.slot_of(worker) {
-                crash_slot(st, spawner, slot, config);
-            }
-        }
-    }
-}
-
-/// Handle one post-join frame. Only a `Done` can error (the soft
-/// die-after test hook aborts the coordinator mid-run).
-fn handle_frame(
-    st: &mut FleetState<'_>,
-    conn: u64,
-    frame: FleetFrame,
-    now: u64,
-    faults: &Option<FaultPlan>,
-    sweep: &SweepConfig,
-    config: &FleetConfig,
-) -> Result<(), SuperviseError> {
-    let Some(worker) = st.peers.get(&conn).map(|p| p.worker) else {
-        return Ok(());
-    };
-    if !st.standby_conns.contains(&conn) {
-        st.liveness.observe(worker, now);
-    }
-    match frame {
-        FleetFrame::Next { .. } => {
-            // The armed-failover drill: no lease leaves the primary
-            // until a standby has adopted, so a drill's coordinator
-            // death always has a successor to hand over to. Takeover
-            // epochs are exempt — the drill armed before epoch 1 ended.
-            if config.await_standby && st.epoch == 1 && st.successor.is_none() {
-                st.send(conn, &FleetFrame::Wait { ms: POLL_MS }, now);
-                return Ok(());
-            }
-            match st.table.grant(worker, now) {
-                Grant::Lease(grant) => {
-                    let (_, cell) = &st.cells[grant.cell];
-                    let request = CellRequest {
-                        benchmark: cell.benchmark.clone(),
-                        collector: cell.collector,
-                        heap_factor: cell.heap_factor,
-                        invocations: sweep.invocations,
-                        iterations: sweep.iterations,
-                        size: sweep.size,
-                        faults: faults.clone(),
-                        hard: None,
-                    };
-                    let lease = FleetFrame::Lease {
-                        lease: grant.lease,
-                        attempt: grant.attempt,
-                        payload: render_request(&request),
-                    };
-                    st.send(conn, &lease, now);
-                }
-                Grant::Wait(ms) => st.send(conn, &FleetFrame::Wait { ms }, now),
-                Grant::Drain => st.send_raw(conn, &FleetFrame::Drain),
-            }
-        }
-        FleetFrame::Done {
-            lease,
-            coord,
-            payload,
-            ..
-        } => {
-            // A completion echoing a stale coordinator nonce belongs to a
-            // previous incarnation's lease-id space: fence it — this
-            // incarnation's ids restart at 0 and could collide.
-            if coord != st.coord {
-                st.stale_fenced += 1;
-                return Ok(());
-            }
-            // A late Done from a stolen lease is rejected by the table.
-            if !st.table.complete(lease, payload) {
-                return Ok(());
-            }
-            st.completions += 1;
-            if st.hard_die.is_some_and(|limit| st.completions >= limit) {
-                // Integration-test hook: a real coordinator crash — no
-                // cleanup, no persisted base journal.
-                die_by_signal(SIGKILL);
-            }
-            if let Some(limit) = config.die_after {
-                if st.completions >= limit {
-                    return Err(SuperviseError::Isolation(format!(
-                        "fleet coordinator aborted after {limit} completion(s) \
-                         (die-after test hook); worker journals remain for --resume"
-                    )));
-                }
-            }
-        }
-        FleetFrame::Fail {
-            lease,
-            coord,
-            reason,
-            ..
-        } => {
-            if coord != st.coord {
-                st.stale_fenced += 1;
-                return Ok(());
-            }
-            st.table.fail(lease, &reason, now);
-        }
-        FleetFrame::Adopt { addr, fingerprint } => {
-            let want = format!("{:016x}", st.fingerprint);
-            if fingerprint != want {
-                eprintln!(
-                    "fleet: rejecting standby at {addr}: fingerprint {fingerprint} does not \
-                     match this sweep ({want})"
-                );
-                st.send_raw(
-                    conn,
-                    &FleetFrame::Reject {
-                        reason: "standby fingerprint mismatch: different experiment".to_string(),
-                    },
-                );
-                st.worker_conns.remove(&worker);
-                if let Some(peer) = st.peers.remove(&conn) {
-                    let _ = peer.stream.shutdown(Shutdown::Both);
-                }
-                return Ok(());
-            }
-            st.standby_conns.insert(conn);
-            st.liveness.forget(worker);
-            st.successor = Some(addr.clone());
-            eprintln!(
-                "fleet: standby coordinator registered at {addr}; workers will fail over to it"
-            );
-            let worker_conns: Vec<u64> = st
-                .peers
-                .keys()
-                .filter(|c| !st.standby_conns.contains(c))
-                .copied()
-                .collect();
-            for c in worker_conns {
-                st.send_raw(c, &FleetFrame::Standby { addr: addr.clone() });
-            }
-        }
-        // Beat only refreshes liveness (done above); the rest are
-        // coordinator→worker frames echoed back by a confused peer.
-        _ => {}
-    }
-    Ok(())
-}
-
-/// The transport's bind/epoch parameters: the primary binds fresh and
-/// spawns its pool at epoch 1; a takeover inherits the standby's
-/// pre-bound listener, serves at the next epoch, and only spawns its own
-/// workers if none of the primary's reconnect within the rescue window.
-struct Transport {
-    listener: TcpListener,
-    addr: String,
-    epoch: u32,
-    spawn_workers: bool,
-    rescue_after_ms: Option<u64>,
 }
 
 /// Mint a coordinator incarnation's `coord` nonce. Every input is
@@ -1603,321 +994,291 @@ fn incarnation_nonce(pid: u64, fingerprint: u64, epoch: u32) -> u64 {
     splitmix64(pid ^ splitmix64(fingerprint ^ splitmix64(u64::from(epoch))))
 }
 
-/// Drive the worker pool until the lease table drains (or the run dies).
-/// Returns the crash reports collected from worker deaths.
-#[allow(clippy::too_many_arguments)]
-fn run_transport(
-    config: &FleetConfig,
-    faults: &Option<FaultPlan>,
-    sweep: &SweepConfig,
-    cells: &[(usize, Cell)],
-    table: &mut LeaseTable,
-    journal_base: Option<&Path>,
-    fingerprint: u64,
-    metrics: &mut MetricsRegistry,
-    transport: Transport,
-) -> Result<Vec<CrashReport>, SuperviseError> {
-    let Transport {
-        listener,
-        addr,
-        epoch,
-        spawn_workers,
-        rescue_after_ms,
-    } = transport;
-    let exe = std::env::current_exe().map_err(|e| {
-        SuperviseError::Isolation(format!("fleet cannot resolve the worker executable: {e}"))
-    })?;
-    let hard_die: Option<u64> = std::env::var(protocol::ENV_FLEET_DIE_AFTER)
-        .ok()
-        .and_then(|v| v.parse().ok());
-    // Every incarnation mints a fresh nonce; workers echo it on
-    // `Done`/`Fail` so a successor can fence the previous incarnation's
-    // completions out of its own lease-id space.
-    let coord = incarnation_nonce(u64::from(std::process::id()), fingerprint, epoch);
+/// The sockets behind the coordinator's worker ids: what carries out
+/// its [`Output`]s.
+struct Link<'a> {
+    run: &'a FleetRun<'a>,
+    spawner: Spawner,
+    /// Connections that said `Hello` but are not bound yet.
+    unbound: BTreeMap<u64, TcpStream>,
+    /// Bound connections: worker id → (connection id, write half).
+    peers: BTreeMap<u64, (u64, TcpStream)>,
+    reports: Vec<CrashReport>,
+}
 
-    eprintln!(
-        "fleet: coordinating {} cell(s) across {} worker(s) at {addr} (attach with --fleet-connect {addr})",
-        table.len() - table.resolved_count(),
-        config.plan.workers,
-    );
-    if epoch > 1 {
-        eprintln!("fleet: serving epoch {epoch} (incarnation {coord:016x})");
-    }
-    if let Some(plan) = &config.net {
-        eprintln!("fleet: net-fault shim active: {plan}");
+impl Link<'_> {
+    fn write(stream: &mut TcpStream, frame: &FleetFrame) {
+        let line = format!("{}\n", protocol::render(frame));
+        let _ = stream.write_all(line.as_bytes());
     }
 
-    let (tx, rx) = mpsc::channel::<Event>();
-    let stop = Arc::new(AtomicBool::new(false));
-    {
-        let tx = tx.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || accept_loop(listener, tx, stop));
-    }
-    let spawner = Spawner {
-        exe,
-        addr: addr.clone(),
-        storm_env: config.storm.as_ref().map(render_storm),
-        token_env: config.token.clone(),
-        tx,
-    };
-
-    let mut st = FleetState {
-        cells,
-        table,
-        peers: BTreeMap::new(),
-        worker_conns: BTreeMap::new(),
-        liveness: Liveness::new(HEARTBEAT_TIMEOUT_MS),
-        slots: Vec::new(),
-        reports: Vec::new(),
-        spawned: 0,
-        deaths: 0,
-        quarantined_slots: 0,
-        completions: 0,
-        next_external: EXTERNAL_WORKER_BASE,
-        journal_base: journal_base.map(|p| p.to_string_lossy().into_owned()),
-        fingerprint,
-        hard_die,
-        coord,
-        epoch,
-        expected_token: config.token.clone(),
-        net: config.net,
-        net_seq: BTreeMap::new(),
-        delayed: Vec::new(),
-        standby_conns: BTreeSet::new(),
-        successor: None,
-        net_dropped: 0,
-        net_delayed: 0,
-        net_duplicated: 0,
-        net_partitioned: 0,
-        auth_rejected: 0,
-        stale_fenced: 0,
-        revived: 0,
-    };
-
-    if spawn_workers {
-        for slot in 0..config.plan.workers as usize {
-            let worker = slot as u64;
-            spawner.spawn(slot, worker).map_err(|e| {
-                stop.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(&addr);
-                SuperviseError::Isolation(format!("fleet cannot spawn worker {slot}: {e}"))
-            })?;
-            st.slots.push(SlotState {
-                worker,
-                generation: 0,
-                crashes: 0,
-                alive: true,
-                quarantined: false,
-            });
-            st.spawned += 1;
+    fn send(&mut self, worker: u64, frame: &FleetFrame) {
+        if let Some((_, stream)) = self.peers.get_mut(&worker) {
+            Link::write(stream, frame);
         }
     }
 
-    let span = WallSpan::begin();
-    let now_ms = |span: &WallSpan| span.elapsed_ms() as u64;
-    let mut fail: Option<SuperviseError> = None;
-    let mut rescue_at: Option<u64> = rescue_after_ms.map(|ms| now_ms(&span) + ms);
-    let mut last_standby_beat: u64 = 0;
+    fn close(&mut self, worker: u64) {
+        if let Some((_, stream)) = self.peers.remove(&worker) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
 
-    loop {
-        let now = now_ms(&span);
-        st.flush_delayed(now);
-        let timeout = st
-            .table
-            .next_deadline_in(now)
-            .map_or(POLL_MS, |d| d.clamp(1, POLL_MS));
-        match rx.recv_timeout(Duration::from_millis(timeout)) {
-            Ok(Event::Joined {
-                conn,
-                hint,
-                token,
-                stream,
-            }) => {
-                st.admit(conn, hint, token, stream, now_ms(&span));
-            }
-            Ok(Event::Frame { conn, frame }) => {
-                if st.inbound_blocked(conn, &frame, now_ms(&span)) {
-                    // The partition eats the frame; the worker's retry
-                    // discipline re-sends it once the window heals.
-                } else if let Err(e) =
-                    handle_frame(&mut st, conn, frame, now_ms(&span), faults, sweep, config)
-                {
-                    fail = Some(e);
-                    break;
+    /// The worker a connection is bound to (none for an unbound or an
+    /// already replaced one).
+    fn worker_of(&self, conn: u64) -> Option<u64> {
+        self.peers
+            .iter()
+            .find(|(_, (c, _))| *c == conn)
+            .map(|(w, _)| *w)
+    }
+
+    fn carry_out(&mut self, output: Output, now: u64) {
+        match output {
+            Output::Bind { conn, worker } => {
+                if let Some(stream) = self.unbound.remove(&conn) {
+                    self.close(worker);
+                    self.peers.insert(worker, (conn, stream));
                 }
             }
-            Ok(Event::Eof { conn }) => {
-                if st.standby_conns.remove(&conn) {
-                    eprintln!("fleet: standby coordinator disconnected");
-                    st.worker_conns.retain(|_, c| *c != conn);
-                    st.peers.remove(&conn);
-                } else {
-                    // Free the leases immediately; for local workers the
-                    // reaper's ChildExit still drives respawn accounting.
-                    if let Some(worker) = st.peers.get(&conn).map(|p| p.worker) {
-                        st.declare_dead(worker, now_ms(&span), None);
-                    }
-                    st.peers.remove(&conn);
-                }
+            Output::Send { worker, frame } => self.send(worker, &frame),
+            Output::Lease { worker, grant } => {
+                let (_, cell) = &self.run.cells[grant.cell];
+                let request = CellRequest {
+                    benchmark: cell.benchmark.clone(),
+                    collector: cell.collector,
+                    heap_factor: cell.heap_factor,
+                    invocations: self.run.sweep.invocations,
+                    iterations: self.run.sweep.iterations,
+                    size: self.run.sweep.size,
+                    faults: self.run.faults.clone(),
+                    hard: None,
+                };
+                let lease = FleetFrame::Lease {
+                    lease: grant.lease,
+                    attempt: grant.attempt,
+                    payload: render_request(&request),
+                };
+                self.send(worker, &lease);
             }
-            Ok(Event::ChildExit {
-                slot,
-                worker,
-                clean,
+            Output::Close { worker } => self.close(worker),
+            Output::Spawn { slot, worker } => self.spawner.spawn(slot, worker),
+            Output::Died {
+                cells,
+                last_seen,
                 signal,
-            }) => {
-                let now = now_ms(&span);
-                if clean {
-                    if st.slots.get(slot).map(|s| s.worker) == Some(worker) {
-                        st.slots[slot].alive = false;
-                    }
-                } else {
-                    st.declare_dead(worker, now, signal);
-                    // Skip respawn if staleness already rotated the slot
-                    // to a new generation.
-                    if st.slots.get(slot).map(|s| s.worker) == Some(worker) {
-                        crash_slot(&mut st, &spawner, slot, config);
-                    }
-                }
-            }
-            Err(_) => {}
-        }
-
-        let now = now_ms(&span);
-        st.flush_delayed(now);
-        let expired = st.table.expire(now);
-        if expired > 0 {
-            eprintln!("fleet: {expired} lease(s) expired; cells requeued");
-        }
-        check_heartbeats(&mut st, &spawner, config, now);
-
-        // The primary proves its own liveness to any registered standby;
-        // heartbeat loss is the standby's takeover trigger.
-        if !st.standby_conns.is_empty()
-            && now.saturating_sub(last_standby_beat) >= HEARTBEAT_EVERY_MS
-        {
-            last_standby_beat = now;
-            let conns: Vec<u64> = st.standby_conns.iter().copied().collect();
-            for conn in conns {
-                st.send_raw(conn, &FleetFrame::Beat { worker: 0 });
-            }
-        }
-
-        if st.table.is_done() {
-            let conns: Vec<u64> = st.peers.keys().copied().collect();
-            for conn in conns {
-                st.send_raw(conn, &FleetFrame::Drain);
-            }
-            break;
-        }
-        let workers_connected = st.peers.keys().any(|c| !st.standby_conns.contains(c));
-        if let Some(at) = rescue_at {
-            if workers_connected || st.spawned > 0 {
-                // At least one of the primary's workers made it across;
-                // the successor never needs a pool of its own.
-                rescue_at = None;
-            } else if now >= at {
-                rescue_at = None;
-                eprintln!(
-                    "fleet: no workers reconnected within the rescue window; \
-                     spawning a fresh pool of {}",
-                    config.plan.workers
-                );
-                for slot in 0..config.plan.workers as usize {
-                    let worker = slot as u64;
-                    if let Err(e) = spawner.spawn(slot, worker) {
-                        fail = Some(SuperviseError::Isolation(format!(
-                            "fleet cannot spawn rescue worker {slot}: {e}"
-                        )));
-                        break;
-                    }
-                    st.slots.push(SlotState {
-                        worker,
-                        generation: 0,
-                        crashes: 0,
-                        alive: true,
-                        quarantined: false,
+                ..
+            } => {
+                for idx in cells {
+                    let (_, cell) = &self.run.cells[idx];
+                    self.reports.push(CrashReport {
+                        benchmark: cell.benchmark.clone(),
+                        collector: cell.collector.to_string(),
+                        heap_factor: cell.heap_factor,
+                        outcome: "worker-died".to_string(),
+                        exit_code: None,
+                        signal,
+                        last_heartbeat_ms: last_seen,
+                        peak_rss_bytes: None,
+                        wall_ms: now,
                     });
-                    st.spawned += 1;
-                }
-                if fail.is_some() {
-                    break;
                 }
             }
+            Output::Note(note) => eprintln!("fleet: {note}"),
         }
-        if rescue_at.is_none() && !workers_connected && !st.slots.iter().any(|s| s.alive) {
-            fail = Some(SuperviseError::Isolation(
-                "the fleet lost every worker (crash budgets exhausted) before the \
-                 matrix resolved; worker journals remain for --resume"
-                    .to_string(),
-            ));
-            break;
-        }
-    }
-
-    if fail.is_none() {
-        reap_local_workers(&mut st, &rx);
-    }
-
-    // Wake the acceptor so its thread exits, then drop every peer.
-    stop.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(&addr);
-    for peer in st.peers.values() {
-        let _ = peer.stream.shutdown(Shutdown::Both);
-    }
-
-    let lease_metrics = st.table.metrics();
-    metrics.inc(fleet_metrics::WORKERS_SPAWNED, st.spawned);
-    metrics.inc(fleet_metrics::WORKER_DEATHS, st.deaths);
-    metrics.inc(fleet_metrics::WORKERS_QUARANTINED, st.quarantined_slots);
-    metrics.inc(fleet_metrics::LEASES_ISSUED, lease_metrics.issued);
-    metrics.inc(fleet_metrics::LEASES_EXPIRED, lease_metrics.expired);
-    metrics.inc(fleet_metrics::LEASES_STOLEN, lease_metrics.stolen);
-    metrics.inc(fleet_metrics::CELLS_REQUEUED, lease_metrics.requeued);
-    metrics.inc(fleet_metrics::MERGE_CONFLICTS, lease_metrics.conflicts);
-    metrics.inc("supervisor.retries", lease_metrics.requeued);
-    metrics.inc(fleet_metrics::NET_DROPPED, st.net_dropped);
-    metrics.inc(fleet_metrics::NET_DELAYED, st.net_delayed);
-    metrics.inc(fleet_metrics::NET_DUPLICATED, st.net_duplicated);
-    metrics.inc(fleet_metrics::NET_PARTITIONED, st.net_partitioned);
-    metrics.inc(fleet_metrics::AUTH_REJECTED, st.auth_rejected);
-    metrics.inc(fleet_metrics::STALE_FENCED, st.stale_fenced);
-    metrics.inc(fleet_metrics::WORKERS_REVIVED, st.revived);
-
-    let reports = std::mem::take(&mut st.reports);
-    match fail {
-        Some(e) => Err(e),
-        None => Ok(reports),
     }
 }
 
-/// Wait, up to [`WORKER_EXIT_GRACE_MS`], for every live local worker to
-/// exit after the `Drain`, so no process of the run outlives it. Peers
-/// stay connected meanwhile: closing a socket with unread frames resets
-/// it, and a reset can destroy the `Drain` before the worker reads it.
-/// A worker that reconnects during the wait is drained on the spot.
-fn reap_local_workers(st: &mut FleetState<'_>, rx: &mpsc::Receiver<Event>) {
-    let span = WallSpan::begin();
-    while st.slots.iter().any(|s| s.alive) {
-        let left = WORKER_EXIT_GRACE_MS.saturating_sub(span.elapsed_ms() as u64);
-        match rx.recv_timeout(Duration::from_millis(left)) {
-            Ok(Event::ChildExit { slot, worker, .. }) => {
-                if st.slots.get(slot).map(|s| s.worker) == Some(worker) {
-                    st.slots[slot].alive = false;
-                }
-            }
-            Ok(Event::Joined { mut stream, .. }) => {
-                let line = format!("{}\n", protocol::render(&FleetFrame::Drain));
-                let _ = stream.write_all(line.as_bytes());
-            }
-            Ok(_) => {}
-            Err(_) => {
-                let alive = st.slots.iter().filter(|s| s.alive).count();
-                eprintln!("fleet: {alive} worker(s) still running after the drain");
-                break;
-            }
+impl FleetRun<'_> {
+    /// Serve `table` on `listener` at `epoch` until it drains (or the
+    /// run dies), then wait up to [`WORKER_EXIT_GRACE_MS`] for the
+    /// local workers to exit so no process of the run outlives it. The
+    /// primary spawns its pool at epoch 1; a takeover serves the next
+    /// epoch and only spawns workers if none of the primary's reconnect
+    /// within the rescue window. Every decision is the
+    /// [`Coordinator`]'s: this loop turns socket and reaper events into
+    /// its inputs, carries out its outputs, and sleeps until its next
+    /// wake-up. Returns the table and the crash reports of worker
+    /// deaths.
+    fn serve(
+        &self,
+        table: LeaseTable,
+        listener: TcpListener,
+        addr: String,
+        epoch: u32,
+        metrics: &mut MetricsRegistry,
+    ) -> Result<(LeaseTable, Vec<CrashReport>), SuperviseError> {
+        let (config, fingerprint) = (&self.config, self.fingerprint);
+        let exe = std::env::current_exe().map_err(|e| {
+            SuperviseError::Isolation(format!("fleet cannot resolve the worker executable: {e}"))
+        })?;
+        let hard_die: Option<u64> = std::env::var(protocol::ENV_FLEET_DIE_AFTER)
+            .ok()
+            .and_then(|v| v.parse().ok());
+        // Every incarnation mints a fresh nonce; workers echo it on
+        // `Done`/`Fail` so a successor can fence the previous incarnation's
+        // completions out of its own lease-id space.
+        let coord = incarnation_nonce(u64::from(std::process::id()), fingerprint, epoch);
+
+        eprintln!(
+            "fleet: coordinating {} cell(s) across {} worker(s) at {addr} \
+             (attach with --fleet-connect {addr})",
+            table.len() - table.resolved_count(),
+            config.plan.workers,
+        );
+        if epoch > 1 {
+            eprintln!("fleet: serving epoch {epoch} (incarnation {coord:016x})");
         }
+        if let Some(plan) = &config.net {
+            eprintln!("fleet: net-fault shim active: {plan}");
+        }
+
+        let (tx, rx) = mpsc::channel::<Event>();
+        let stop = Arc::new(AtomicBool::new(false));
+        {
+            let tx = tx.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || accept_loop(listener, tx, stop));
+        }
+        let mut link = Link {
+            run: self,
+            spawner: Spawner {
+                exe,
+                addr: addr.clone(),
+                storm_env: config.storm.as_ref().map(render_storm),
+                token_env: config.token.clone(),
+                tx,
+            },
+            unbound: BTreeMap::new(),
+            peers: BTreeMap::new(),
+            reports: Vec::new(),
+        };
+        let mut coordinator = Coordinator::new(
+            table,
+            config,
+            Incarnation {
+                coord,
+                epoch,
+                fingerprint,
+                journal: (self.journal_path.as_deref()).map(|p| p.to_string_lossy().into_owned()),
+                successor: epoch > 1,
+            },
+        );
+
+        let span = WallSpan::begin();
+        let now_ms = || span.elapsed_ms() as u64;
+        let mut outputs = coordinator.start(now_ms());
+        let mut drained_at: Option<u64> = None;
+        let result = loop {
+            let now = now_ms();
+            // Test hooks: a real coordinator crash (no cleanup, no
+            // persisted base journal), or a soft abort after K completions.
+            let completions = coordinator.metrics().completions;
+            if hard_die.is_some_and(|limit| completions >= limit) {
+                die_by_signal(SIGKILL);
+            }
+            if let Some(limit) = config.die_after.filter(|&limit| completions >= limit) {
+                break Err(SuperviseError::Isolation(format!(
+                    "fleet coordinator aborted after {limit} completion(s) \
+                     (die-after test hook); worker journals remain for --resume"
+                )));
+            }
+            for output in outputs.drain(..) {
+                link.carry_out(output, now);
+            }
+            let wait = if coordinator.is_drained() {
+                // Peers stay connected while the workers exit: closing a
+                // socket with unread frames resets it, and a reset can
+                // destroy the `Drain` before the worker reads it.
+                let left =
+                    (*drained_at.get_or_insert(now) + WORKER_EXIT_GRACE_MS).saturating_sub(now);
+                if coordinator.live_slots() == 0 {
+                    break Ok(());
+                }
+                if left == 0 {
+                    let alive = coordinator.live_slots();
+                    eprintln!("fleet: {alive} worker(s) still running after the drain");
+                    break Ok(());
+                }
+                Some(left)
+            } else if coordinator.is_stranded() {
+                break Err(SuperviseError::Isolation(
+                    "the fleet lost every worker (crash budgets exhausted) before the \
+                     matrix resolved; worker journals remain for --resume"
+                        .to_string(),
+                ));
+            } else {
+                coordinator.next_wake(now)
+            };
+            let event = match wait {
+                Some(ms) => rx.recv_timeout(Duration::from_millis(ms)).ok(),
+                None => rx.recv().ok(),
+            };
+            let input = match event {
+                None => Input::Tick,
+                Some(Event::Connected { conn, stream }) => {
+                    link.unbound.insert(conn, stream);
+                    continue;
+                }
+                Some(Event::Frame { conn, frame }) => match (link.worker_of(conn), frame) {
+                    (Some(worker), frame) => Input::Frame { worker, frame },
+                    (None, FleetFrame::Hello { worker, token })
+                        if link.unbound.contains_key(&conn) =>
+                    {
+                        Input::Hello {
+                            conn,
+                            worker,
+                            token,
+                        }
+                    }
+                    // Pre-Hello garbage, or a refused connection.
+                    _ => continue,
+                },
+                Some(Event::Eof { conn }) => {
+                    link.unbound.remove(&conn);
+                    match link.worker_of(conn) {
+                        Some(worker) => {
+                            link.peers.remove(&worker);
+                            Input::Eof { worker }
+                        }
+                        None => continue,
+                    }
+                }
+                Some(Event::Exited(exit)) => exit,
+            };
+            outputs = coordinator.step(input, now_ms());
+        };
+
+        // Wake the acceptor so its thread exits, then drop every peer.
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(&addr);
+        for (_, stream) in link.peers.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+
+        let lease_metrics = coordinator.table().metrics();
+        let m = coordinator.metrics();
+        for (name, value) in [
+            (fleet_metrics::WORKERS_SPAWNED, m.spawned),
+            (fleet_metrics::WORKER_DEATHS, m.deaths),
+            (fleet_metrics::WORKERS_QUARANTINED, m.quarantined_slots),
+            (fleet_metrics::LEASES_ISSUED, lease_metrics.issued),
+            (fleet_metrics::LEASES_EXPIRED, lease_metrics.expired),
+            (fleet_metrics::LEASES_STOLEN, lease_metrics.stolen),
+            (fleet_metrics::CELLS_REQUEUED, lease_metrics.requeued),
+            (fleet_metrics::MERGE_CONFLICTS, lease_metrics.conflicts),
+            ("supervisor.retries", lease_metrics.requeued),
+            (fleet_metrics::NET_DROPPED, m.net_dropped),
+            (fleet_metrics::NET_DELAYED, m.net_delayed),
+            (fleet_metrics::NET_DUPLICATED, m.net_duplicated),
+            (fleet_metrics::NET_PARTITIONED, m.net_partitioned),
+            (fleet_metrics::AUTH_REJECTED, m.auth_rejected),
+            (fleet_metrics::STALE_FENCED, m.stale_fenced),
+            (fleet_metrics::WORKERS_REVIVED, m.revived),
+        ] {
+            metrics.inc(name, value);
+        }
+        result.map(|()| (coordinator.into_table(), link.reports))
     }
 }
 
@@ -2472,7 +1833,7 @@ mod tests {
 
         // Winner: attempt 1, worker 3 (lower attempt beats lower
         // worker; then worker 3 beats worker 5).
-        match table.into_resolutions().pop().unwrap() {
+        match table.resolutions().pop().unwrap() {
             CellResolution::Completed {
                 attempt,
                 worker,
@@ -2576,7 +1937,7 @@ mod tests {
         assert_eq!(absorbed.recovered, 1);
         assert_eq!(absorbed.conflicts, 1);
         assert_eq!(absorbed.foreign_shards, 0);
-        match table.into_resolutions().pop().unwrap() {
+        match table.resolutions().pop().unwrap() {
             CellResolution::Completed {
                 attempt,
                 worker,

@@ -61,7 +61,7 @@ fn r1301_single_committed_winner(state: &ModelState) -> Option<(&'static str, St
 /// this coordinator incarnation — i.e. no late duplicate from a stolen
 /// or expired lease ever overwrote an established winner.
 fn r1302_merge_minimality(state: &ModelState, bounds: &Bounds) -> Option<(&'static str, String)> {
-    let table = state.table.as_ref()?;
+    let table = state.table()?;
     for cell in 0..bounds.cells {
         let winner = table.cell_winner(cell);
         let minimal = state.offers[cell].iter().next().copied();
@@ -113,10 +113,7 @@ fn r1303_durability(state: &ModelState) -> Option<(&'static str, String)> {
     for &cell in &state.durable {
         let in_base = state.base.iter().any(|r| r.cell == cell);
         let in_shard = state.shards.values().flatten().any(|r| r.cell == cell);
-        let in_memory = state
-            .table
-            .as_ref()
-            .is_some_and(|t| t.cell_winner(cell).is_some());
+        let in_memory = state.table().is_some_and(|t| t.cell_winner(cell).is_some());
         if !in_base && !in_shard && !in_memory {
             let (rule, path) = if state.epoch > 1 {
                 ("R1401", "across the coordinator hand-off")
@@ -205,7 +202,7 @@ fn r1304_determinism(state: &ModelState, bounds: &Bounds) -> Option<(&'static st
             "the run drained with a worker still attached".to_string(),
         ));
     }
-    let table = state.table.as_ref()?;
+    let table = state.table()?;
     for (cell, resolution) in table.resolutions().into_iter().enumerate() {
         let should_fail = cell < bounds.failing_cells;
         let in_base = state.base.iter().any(|r| r.cell == cell);
@@ -260,7 +257,8 @@ fn r1304_determinism(state: &ModelState, bounds: &Bounds) -> Option<(&'static st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{Row, SeededBug};
+    use crate::state::SeededBug;
+    use chopin_fleet::Row;
 
     #[test]
     fn the_initial_state_is_clean() {
@@ -303,7 +301,7 @@ mod tests {
         let bounds = Bounds::default();
         let mut s = ModelState::init(&bounds);
         s.durable.insert(1);
-        s.table = None;
+        s.coordinator = None;
         for slot in &mut s.slots {
             *slot = crate::state::Slot::Exited;
         }
@@ -318,7 +316,7 @@ mod tests {
         let mut s = ModelState::init(&bounds);
         s.epoch = 2;
         s.durable.insert(1);
-        s.table = None;
+        s.coordinator = None;
         for slot in &mut s.slots {
             *slot = crate::state::Slot::Exited;
         }

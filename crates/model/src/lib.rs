@@ -12,13 +12,19 @@
 //! catalogue).
 //!
 //! The crucial design point is the **conformance layer**: the model
-//! does not re-implement the lease state machine. Its coordinator *is*
-//! the shipped [`chopin_fleet::lease::LeaseTable`], driven through the
-//! [`chopin_fleet::lease::LeaseEvent`] pure-step surface under the
-//! model's virtual clock, and duplicate completions resolve through the
-//! real [`chopin_fleet::CellMerge`] tiebreak inside it. A bug fixed in
-//! the model but not in the code (or vice versa) is therefore
-//! impossible: the explored transitions are the shipped transitions.
+//! does not re-implement the coordinator. Its coordinator *is* the
+//! shipped [`chopin_fleet::Coordinator`] — the same pure
+//! `step(input, now) -> outputs` machine the harness's TCP loop drives
+//! — fed hellos, frames, EOFs, child exits and wake-ups under the
+//! model's virtual clock. Admission, the epoch fence, lease grants,
+//! freeing a dead worker's leases, slot respawn, the drain and the
+//! takeover rescue are therefore the shipped decisions, and duplicate
+//! completions resolve through the real [`chopin_fleet::CellMerge`]
+//! tiebreak inside the lease table. Resume, takeover and the final seal
+//! recover journals through the shipped [`chopin_fleet::recover`]. A
+//! bug fixed in the model but not in the code (or vice versa) is
+//! therefore impossible: the explored transitions are the shipped
+//! transitions.
 //!
 //! What *is* abstracted, and how:
 //!
@@ -44,10 +50,13 @@
 //! * **Hand-off** replaces coordinator crash-and-resume when a standby
 //!   is registered: channels die with the primary, the successor
 //!   absorbs base + shards *without* truncating shards or respawning
-//!   workers, and serves the next epoch. Frames echoing the dead
-//!   incarnation fence at delivery (R1401/R1402), and the adversary
-//!   gets one admission probe with a wrong token, checked through the
-//!   shipped `chopin_fleet::admission` gate (R1403).
+//!   workers, and serves the next epoch; live workers say hello again.
+//!   The coordinator fences frames echoing the dead incarnation
+//!   (R1401/R1402), and the adversary gets one admission probe with a
+//!   wrong token, refused or not by the shipped coordinator (R1403).
+//! * **Seeded bugs** live in the model's own moves, never in shipped
+//!   code: `lost-lease` discards the winners recovery returns,
+//!   `split-brain` rewrites a stale frame's echo to the live nonce.
 //! * **Journals** are per-worker shard logs plus an append-only base
 //!   log, with the real lifecycle: workers journal a cell *before*
 //!   sending `@done`, respawned and resumed workers truncate their own
@@ -64,11 +73,11 @@
 //! terminal state.
 //!
 //! [`demo_lost_lease`] seeds the one-line protocol bug this checker
-//! exists to catch — a resume that forgets to persist merged shard
-//! winners into the base journal before the respawned workers truncate
-//! their shards — and returns the minimal trace proving the loss
-//! (R1303) two crashes later. `artifact model --demo lost-lease` shows
-//! it end to end.
+//! exists to catch — a resume that discards the merged shard winners
+//! instead of persisting them into the base journal before the
+//! respawned workers truncate their shards — and returns the minimal
+//! trace proving the loss (R1303) two crashes later. `artifact model
+//! --demo lost-lease` shows it end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,9 +93,10 @@ pub use explore::{explore, ExploreReport, Violation};
 pub use state::{ModelState, SeededBug};
 
 /// Run the checker over the deliberately broken `lost-lease` model: the
-/// resume path persists nothing into the base journal, so a completion
-/// that only lives in a worker shard dies with the shard truncation on
-/// the next resume, and a second coordinator crash proves the loss.
+/// resume path discards what recovery returns instead of persisting it
+/// into the base journal, so a completion that only lives in a worker
+/// shard dies with the shard truncation on the next resume, and a
+/// second coordinator crash proves the loss.
 /// Returns the exploration report, whose violation names R1303.
 ///
 /// The bounds are the minimal ones that exhibit the bug: one worker,
@@ -109,11 +119,11 @@ pub fn demo_lost_lease() -> Result<ExploreReport, String> {
 }
 
 /// Run the checker over the deliberately broken `split-brain` model:
-/// the takeover coordinator forgets to fence frames echoing the dead
-/// incarnation's epoch, so a `@done` written by the primary's lease
-/// space mutates the successor's table — two epochs effectively active
-/// at once. Returns the exploration report, whose violation names
-/// R1402.
+/// the model rewrites a stale frame's echo to the live nonce before
+/// delivering it, so the coordinator's fence lets a `@done` written in
+/// the primary's lease space through to the successor's table — two
+/// epochs effectively active at once. Returns the exploration report,
+/// whose violation names R1402.
 ///
 /// The bounds are the minimal ones that exhibit the bug: one worker,
 /// one cell, one coordinator death (which the registered standby turns
